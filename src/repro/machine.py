@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.params import PAPER_PARAMS, TimingParams
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.memory.competitive import CompetitiveReplicator
+from repro.memory.physical import zero_template
 from repro.memory.profiling import AccessProfiler
 from repro.memory.replication import ReplicationManager
 from repro.network.fabric import Fabric
@@ -65,6 +66,9 @@ class PlusMachine:
         # machine.fabric at construction time).  The base machine's
         # behavior is byte-for-byte the classic single-engine assembly.
         self._init_simulation(tie_break_rng)
+        #: The all-zeros page image every node's memory zeroes frames
+        #: from: immutable, so one per machine instead of one per node.
+        self.zero_page = zero_template(params.page_words)
         self.os = ReplicationManager(self)
         nodes: List[Node] = []
         self.nodes = nodes

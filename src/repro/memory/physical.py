@@ -17,7 +17,7 @@ of churning the allocator.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import AddressError
 from repro.core.params import WORD_MASK
@@ -61,13 +61,19 @@ class PageFrame:
         return self.words.tolist()
 
 
+def zero_template(page_words: int) -> bytes:
+    """An all-zeros page image: the read-only template frames are zeroed
+    from.  Immutable, so one per page size can serve every node."""
+    return bytes(page_words * _ITEMSIZE)
+
+
 class LocalMemory:
     """The physical memory of one node: a paged arena of numbered frames.
 
-    The arena is indexed by integer frame id: ``_storage[page]`` holds
-    the frame's ``array('l')`` words, or ``None`` while the frame is
-    allocated-but-unmaterialized (lazy-zero) or free; ``_live[page]``
-    distinguishes the two.
+    The arena is indexed by integer frame id: ``_live[page]`` is 1 while
+    the frame is allocated, and ``_storage`` maps only *materialized*
+    frames to their ``array('l')`` words.  An allocated frame absent
+    from ``_storage`` is lazy-zero; a frame present in it is always live.
     """
 
     __slots__ = (
@@ -82,50 +88,70 @@ class LocalMemory:
         "_next_page",
     )
 
-    def __init__(self, node_id: int, page_words: int, max_frames: int = 1 << 20) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        page_words: int,
+        max_frames: int = 1 << 20,
+        zero: Optional[bytes] = None,
+    ) -> None:
         self.node_id = node_id
         self.page_words = page_words
         self.max_frames = max_frames
-        #: Frame id -> backing array (None = unmaterialized or free).
-        self._storage: List[Optional[array]] = []
+        #: Frame id -> backing array, for materialized frames only.
+        self._storage: Dict[int, array] = {}
         #: Frame id -> 1 if allocated (dense flags, one byte per id).
         self._live = bytearray()
         self._free: List[int] = []
         #: Storage arrays recovered from freed frames, re-zeroed in
         #: place when the next frame materializes.
         self._spare: List[array] = []
-        #: Shared all-zeros template for O(page) memcpy zeroing.
-        self._zero = array(_TYPECODE, bytes(page_words * _ITEMSIZE))
+        #: Read-only all-zeros page image (see :func:`zero_template`); a
+        #: machine passes one template to all of its nodes.
+        self._zero = zero if zero is not None else zero_template(page_words)
         self._next_page = 0
 
     # ------------------------------------------------------------------
-    def allocate_frame(self) -> int:
-        """Allocate a zeroed frame; returns its local page id.
+    def allocate_frames(self, n: int) -> Tuple[List[int], range]:
+        """Allocate ``n`` zeroed frames as ``(recycled, fresh)`` ids.
 
-        Lazy: no storage is touched until the first write, so mapping a
+        Hands out exactly the ids ``n`` successive single allocations
+        would: recycled ids from the end of the free list first (in pop
+        order), then one contiguous run of never-used ids.  Lazy: no
+        storage is touched until a frame's first write, so mapping a
         million pages costs a million flag bytes, not a million arrays.
+        Fails without allocating anything if the run would exceed
+        ``max_frames``.
         """
-        if self._free:
-            page = self._free.pop()
-        else:
-            if self._next_page >= self.max_frames:
-                raise AddressError(
-                    f"node {self.node_id} out of physical frames "
-                    f"({self.max_frames})"
-                )
-            page = self._next_page
-            self._next_page += 1
-            self._storage.append(None)
-            self._live.append(0)
-        self._live[page] = 1
-        return page
+        free = self._free
+        k = min(n, len(free))
+        start = self._next_page
+        stop = start + n - k
+        if stop > self.max_frames:
+            raise AddressError(
+                f"node {self.node_id} out of physical frames "
+                f"({self.max_frames})"
+            )
+        live = self._live
+        recycled = free[len(free) - k:]
+        recycled.reverse()
+        del free[len(free) - k:]
+        for page in recycled:
+            live[page] = 1
+        live.extend(b"\x01" * (stop - start))
+        self._next_page = stop
+        return recycled, range(start, stop)
+
+    def allocate_frame(self) -> int:
+        """Allocate one zeroed frame; returns its local page id."""
+        recycled, fresh = self.allocate_frames(1)
+        return recycled[0] if recycled else fresh.start
 
     def free_frame(self, page: int) -> None:
         """Release a frame; its storage parks on the spare pool."""
         self._check(page)
-        storage = self._storage[page]
+        storage = self._storage.pop(page, None)
         if storage is not None:
-            self._storage[page] = None
             self._spare.append(storage)
         self._live[page] = 0
         self._free.append(page)
@@ -145,38 +171,40 @@ class LocalMemory:
                 f"node {self.node_id} has no physical page {page}"
             )
 
+    def _zero_fill(self, storage: array) -> None:
+        """Zero ``storage`` in place from the template (one memcpy)."""
+        with memoryview(storage).cast("B") as raw:
+            raw[:] = self._zero
+
     def _materialize(self, page: int) -> array:
         """Back a live frame with (zeroed) storage; reuses spares."""
         spare = self._spare
         if spare:
             storage = spare.pop()
-            storage[:] = self._zero
+            self._zero_fill(storage)
         else:
-            storage = self._zero[:]
+            storage = array(_TYPECODE, self._zero)
         self._storage[page] = storage
         return storage
 
     def read(self, page: int, offset: int) -> int:
         """Read one word from frame ``page`` at ``offset``."""
-        if 0 <= page < self._next_page and self._live[page]:
-            storage = self._storage[page]
-            if storage is not None:
-                return storage[offset]
-            pw = self.page_words
-            if -pw <= offset < pw:
-                return 0
-            raise IndexError("array index out of range")
-        raise AddressError(f"node {self.node_id} has no physical page {page}")
+        storage = self._storage.get(page)
+        if storage is not None:
+            return storage[offset]
+        self._check(page)
+        pw = self.page_words
+        if -pw <= offset < pw:
+            return 0
+        raise IndexError("array index out of range")
 
     def write(self, page: int, offset: int, value: int) -> None:
         """Write one word to frame ``page`` at ``offset``."""
-        if 0 <= page < self._next_page and self._live[page]:
-            storage = self._storage[page]
-            if storage is None:
-                storage = self._materialize(page)
-            storage[offset] = value & WORD_MASK
-            return
-        raise AddressError(f"node {self.node_id} has no physical page {page}")
+        storage = self._storage.get(page)
+        if storage is None:
+            self._check(page)
+            storage = self._materialize(page)
+        storage[offset] = value & WORD_MASK
 
     def words_of(self, page: int) -> array:
         """The live word array of frame ``page`` (hot-path read access).
@@ -185,12 +213,11 @@ class LocalMemory:
         executor) resolve the frame once and index the array directly.
         The array is the frame's backing store — treat it as read-only.
         """
-        if 0 <= page < self._next_page and self._live[page]:
-            storage = self._storage[page]
-            if storage is None:
-                storage = self._materialize(page)
-            return storage
-        raise AddressError(f"node {self.node_id} has no physical page {page}")
+        storage = self._storage.get(page)
+        if storage is None:
+            self._check(page)
+            storage = self._materialize(page)
+        return storage
 
     def write_batch(self, page: int, writes) -> None:
         """Apply ``(offset, value)`` pairs to one frame, resolved once.
@@ -199,9 +226,9 @@ class LocalMemory:
         writes through here so the frame lookup happens once per message
         rather than once per word.
         """
-        self._check(page)
-        storage = self._storage[page]
+        storage = self._storage.get(page)
         if storage is None:
+            self._check(page)
             storage = self._materialize(page)
         for offset, value in writes:
             storage[offset] = value & WORD_MASK
@@ -214,18 +241,18 @@ class LocalMemory:
                 f"page copy of {len(values)} words into "
                 f"{self.page_words}-word frame"
             )
-        storage = self._storage[page]
+        storage = self._storage.get(page)
         if storage is None:
             # Fully overwritten below — skip the zeroing pass.
             spare = self._spare
-            storage = spare.pop() if spare else self._zero[:]
+            storage = spare.pop() if spare else array(_TYPECODE, self._zero)
             self._storage[page] = storage
         storage[:] = array(_TYPECODE, [v & WORD_MASK for v in values])
 
     def snapshot_page(self, page: int) -> List[int]:
         """Copy out an entire frame (used by the page-copy engine)."""
         self._check(page)
-        storage = self._storage[page]
+        storage = self._storage.get(page)
         if storage is None:
             return [0] * self.page_words
         return storage.tolist()
@@ -233,9 +260,9 @@ class LocalMemory:
     def zero_page(self, page: int) -> None:
         """Reset a frame to all zeros in place (crash-scrub path)."""
         self._check(page)
-        storage = self._storage[page]
+        storage = self._storage.get(page)
         if storage is not None:
-            storage[:] = self._zero
+            self._zero_fill(storage)
 
     # -- capacity accounting -------------------------------------------
     @property
@@ -246,4 +273,4 @@ class LocalMemory:
     @property
     def materialized_frames(self) -> int:
         """Frames currently backed by real storage (diagnostics)."""
-        return sum(1 for s in self._storage if s is not None)
+        return len(self._storage)

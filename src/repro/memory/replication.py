@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import count
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.copylist import CopyList
 from repro.errors import ConfigError, MappingError, ReplicationError
@@ -41,8 +41,6 @@ _FLAT_SHIFT = 34
 _FLAT_MASK = (1 << _FLAT_SHIFT) - 1
 #: Sentinel: the vpage has a materialized CopyList in ``_copylists``.
 _MATERIALIZED = -1
-#: Sentinel: the vpage number was reserved but never created.
-_HOLE = -2
 
 
 class ReplicationManager:
@@ -66,11 +64,11 @@ class ReplicationManager:
         # cycle.  Uses: .nodes (list of Node), .mesh, .fabric, .engine,
         # .params.
         self._machine = machine
-        #: vpage -> packed (home, frame); _MATERIALIZED or _HOLE sentinels.
+        #: vpage -> packed (home, frame), or the _MATERIALIZED sentinel.
+        #: Virtual pages are numbered densely: the next one is len(_flat).
         self._flat = array("q")
         #: Materialized copy-lists only (replicated or once-replicated).
         self._copylists: Dict[int, CopyList] = {}
-        self._next_vpage = count()
         self._copy_xids = count()
         self.live_copies_started = 0
         self.live_copies_finished = 0
@@ -78,10 +76,6 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # Page directory.
     # ------------------------------------------------------------------
-    def alloc_vpage(self) -> int:
-        """Reserve a fresh virtual page number."""
-        return next(self._next_vpage)
-
     def _materialize(self, vpage: int) -> CopyList:
         """Promote a flat entry to a real CopyList (mutation pending).
 
@@ -113,9 +107,8 @@ class ReplicationManager:
             return self._materialize(vpage)
         raise MappingError(f"virtual page {vpage} does not exist") from None
 
-    def known_vpages(self) -> Iterable[int]:
-        flat = self._flat
-        return (v for v in range(len(flat)) if flat[v] != _HOLE)
+    def known_vpages(self) -> range:
+        return range(len(self._flat))
 
     # -- read-only placement accessors (never materialize) -------------
     def master_copy(self, vpage: int) -> PhysPage:
@@ -176,28 +169,32 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # Page creation.
     # ------------------------------------------------------------------
-    def create_page(self, home: int, vpage: Optional[int] = None) -> int:
-        """Create an unreplicated page mastered on node ``home``.
+    def create_pages(self, home: int, n: int) -> range:
+        """Create ``n`` unreplicated pages mastered on node ``home``.
 
-        Flat fast path: one frame allocation plus one packed array slot.
+        Returns their virtual page numbers, a contiguous run.  Flat fast
+        path: the frames come from one bulk allocation and each page is
+        one packed array slot, so a fresh run of frames is mapped with
+        one C-level array extension and no per-page Python objects.
         ``tables.forget`` clears any forwarding tombstone left on a
-        recycled frame id so it cannot shadow the new page.
+        recycled frame id so it cannot shadow the new page; never-used
+        ids have no table entries to clear.
         """
-        flat = self._flat
-        if vpage is None:
-            vpage = next(self._next_vpage)
-        elif (
-            vpage in self._copylists
-            or (vpage < len(flat) and flat[vpage] != _HOLE)
-        ):
-            raise ReplicationError(f"virtual page {vpage} already exists")
         node = self._machine.nodes[home]
-        ppage = node.memory.allocate_frame()
-        node.cm.tables.forget(ppage)
-        while len(flat) <= vpage:
-            flat.append(_HOLE)
-        flat[vpage] = (home << _FLAT_SHIFT) | ppage
-        return vpage
+        recycled, fresh = node.memory.allocate_frames(n)
+        flat = self._flat
+        first = len(flat)
+        tag = home << _FLAT_SHIFT
+        forget = node.cm.tables.forget
+        for ppage in recycled:
+            forget(ppage)
+            flat.append(tag | ppage)
+        flat.extend(array("q", range(tag | fresh.start, tag | fresh.stop)))
+        return range(first, len(flat))
+
+    def create_page(self, home: int) -> int:
+        """Create one unreplicated page mastered on node ``home``."""
+        return self.create_pages(home, 1)[0]
 
     # ------------------------------------------------------------------
     # Replication.

@@ -42,7 +42,9 @@ class DirectMappedCache:
         self._n_lines = self.n_lines
         self._update_policy = snoop_policy == "update"
         #: Per-set tag: the global line number cached there, or None.
-        self._tags: List[Optional[int]] = [None] * self.n_lines
+        #: The list itself is allocated on the first fill: most nodes of
+        #: a large machine never load from local memory.
+        self._tags: Optional[List[Optional[int]]] = None
         self.hits = 0
         self.misses = 0
         self.snoop_updates = 0
@@ -57,11 +59,14 @@ class DirectMappedCache:
         """Access cost of a load from local memory; fills on miss."""
         line = (page * self._page_words + offset) // self._line_words
         index = line % self._n_lines
-        if self._tags[index] == line:
+        tags = self._tags
+        if tags is None:
+            tags = self._tags = [None] * self._n_lines
+        elif tags[index] == line:
             self.hits += 1
             return self.params.cache_hit_cycles
         self.misses += 1
-        self._tags[index] = line
+        tags[index] = line
         return self.params.line_fill_cycles
 
     def note_write(self, page: int, offset: int) -> None:
@@ -72,25 +77,28 @@ class DirectMappedCache:
 
     def contains(self, page: int, offset: int) -> bool:
         line, index = self._line_of(page, offset)
-        return self._tags[index] == line
+        return self._tags is not None and self._tags[index] == line
 
     # ------------------------------------------------------------------
     def snoop(self, page: int, offset: int, value: int) -> None:
         """Bus snoop for a coherence-manager write to local memory."""
         del value
+        tags = self._tags
+        if tags is None:
+            return
         line = (page * self._page_words + offset) // self._line_words
         index = line % self._n_lines
-        if self._tags[index] != line:
+        if tags[index] != line:
             return
         if self._update_policy:
             self.snoop_updates += 1
         else:
-            self._tags[index] = None
+            tags[index] = None
             self.snoop_invalidates += 1
 
     def flush(self) -> None:
         """Invalidate the whole cache."""
-        self._tags = [None] * self.n_lines
+        self._tags = None
 
     @property
     def hit_rate(self) -> float:

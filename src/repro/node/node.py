@@ -31,7 +31,9 @@ class Node:
         self.params = machine.params
 
         self.counters = NodeCounters(node_id=node_id)
-        self.memory = LocalMemory(node_id, self.params.page_words)
+        self.memory = LocalMemory(
+            node_id, self.params.page_words, zero=machine.zero_page
+        )
         self.cm = CoherenceManager(
             node_id,
             self.engine,

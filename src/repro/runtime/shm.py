@@ -33,10 +33,13 @@ except ImportError:  # pragma: no cover - minimal platforms
 
 
 class Segment:
-    """A named, page-aligned region of shared virtual memory."""
+    """A named, page-aligned region of shared virtual memory.
+
+    ``vpages`` is the contiguous run of virtual pages backing it.
+    """
 
     def __init__(
-        self, base: int, nwords: int, vpages: List[int], home: int, name: str
+        self, base: int, nwords: int, vpages: range, home: int, name: str
     ) -> None:
         self.base = base
         self.nwords = nwords
@@ -107,23 +110,18 @@ class SharedMemory:
         machine = self._machine
         page_words = machine.params.page_words
         npages = math.ceil(nwords / page_words)
-        vpages = [machine.os.create_page(home) for _ in range(npages)]
+        vpages = machine.os.create_pages(home, npages)
         for vpage in vpages:
             for node in replicas:
                 if node != home:
                     machine.os.replicate(vpage, node)
         segment = Segment(
-            base=vpages[0] * page_words,
+            base=vpages.start * page_words,
             nwords=nwords,
             vpages=vpages,
             home=home,
             name=name or f"seg{len(self.segments)}",
         )
-        # Pages are handed out by a single counter, so a multi-page
-        # segment is contiguous; check the invariant anyway.
-        for i, vpage in enumerate(vpages):
-            if vpage != vpages[0] + i:
-                raise ConfigError("shared segment pages are not contiguous")
         self.segments.append(segment)
         return segment
 

@@ -42,12 +42,11 @@ def node_summary(machine) -> str:
     """Per-node resource usage (frames, cache, TLB, protocol state)."""
     rows: List[List[object]] = []
     for node in machine.nodes:
-        frames = sum(1 for _ in node.memory.frames())
         rows.append(
             [
                 node.node_id,
                 machine.mesh.coord(node.node_id),
-                frames,
+                node.memory.allocated_frames,
                 f"{node.cache.hit_rate:.2f}",
                 node.page_table.tlb.hits,
                 node.page_table.tlb.misses,

@@ -41,11 +41,6 @@ class TestPageDirectory:
         with pytest.raises(ReplicationError):
             machine4.os.replicate(vpage, 1)
 
-    def test_explicit_vpage_collision_rejected(self, machine4):
-        vpage = machine4.os.create_page(home=0)
-        with pytest.raises(ReplicationError):
-            machine4.os.create_page(home=1, vpage=vpage)
-
     def test_instant_replicate_copies_contents(self, machine4):
         seg = machine4.shm.alloc(4, home=0)
         machine4.poke(seg.base + 2, 55)

@@ -3,8 +3,12 @@ the compact memory arena, and the placement workload's determinism.
 
 These cover the machinery that lets a 1,024-node machine map a million
 pages in seconds: wrap-around arithmetic routing, flat packed-int page
-metadata with implicit CM self-mastery, and lazy-zero frame storage.
+metadata with implicit CM self-mastery, bulk page creation checked
+against the per-page reference, and lazy-zero frame storage.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +16,11 @@ from hypothesis import strategies as st
 
 from repro.apps.placement import PlacementConfig, run_placement
 from repro.core.copylist import CMTables
-from repro.errors import ReplicationError
+from repro.errors import AddressError, ReplicationError
 from repro.machine import PlusMachine
 from repro.memory.address import PhysPage
 from repro.memory.physical import LocalMemory
+from repro.memory.replication import _FLAT_SHIFT
 from repro.network.topology import Mesh, Torus, make_topology
 
 #: Shapes exercised by the torus property suite: square even (the
@@ -218,6 +223,132 @@ class TestFlyweightDirectory:
         assert reused == page
         tables.forget(reused)
         assert tables.master_of(reused) == PhysPage(0, reused)
+
+
+def _reference_create_page(os_, home):
+    """Reference model of page creation: the per-page body that
+    :meth:`ReplicationManager.create_pages` replaced, with its frame
+    allocator inlined, kept so the bulk path can be checked against it."""
+    memory = os_._machine.nodes[home].memory
+    if memory._free:
+        ppage = memory._free.pop()
+    else:
+        ppage = memory._next_page
+        memory._next_page += 1
+        memory._live.append(0)
+    memory._live[ppage] = 1
+    os_._machine.nodes[home].cm.tables.forget(ppage)
+    vpage = len(os_._flat)
+    os_._flat.append((home << _FLAT_SHIFT) | ppage)
+    return vpage
+
+
+_NODES = 4
+
+#: One step: ("create", home, n) maps n pages on home; ("free", home, k)
+#: frees the k-th live frame of home (mod their number), first leaving
+#: a forwarding tombstone on it the way a migrated-away frame does.
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), st.integers(0, _NODES - 1),
+                  st.integers(0, 6)),
+        st.tuples(st.just("free"), st.integers(0, _NODES - 1),
+                  st.integers(0, 63)),
+    ),
+    max_size=30,
+)
+
+
+class TestBulkCreation:
+    """``create_pages(home, n)`` against n per-page reference creations."""
+
+    @staticmethod
+    def _state(machine):
+        nodes = []
+        for node in machine.nodes:
+            memory, tables = node.memory, node.cm.tables
+            nodes.append((
+                bytes(memory._live), list(memory._free), memory._next_page,
+                dict(tables._master), dict(tables._next),
+            ))
+        return machine.os._flat.tolist(), nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_matches_per_page_reference(self, steps):
+        bulk = PlusMachine(n_nodes=_NODES)
+        ref = PlusMachine(n_nodes=_NODES)
+        for op, home, arg in steps:
+            if op == "create":
+                got = bulk.os.create_pages(home, arg)
+                want = [_reference_create_page(ref.os, home) for _ in range(arg)]
+                assert isinstance(got, range)
+                assert list(got) == want
+            else:
+                live = list(bulk.nodes[home].memory.frames())
+                if not live:
+                    continue
+                ppage = live[arg % len(live)]
+                for machine in (bulk, ref):
+                    node = machine.nodes[home]
+                    tombstone = PhysPage((home + 1) % _NODES, ppage)
+                    node.cm.tables.register(ppage, tombstone, None)
+                    node.memory.free_frame(ppage)
+            assert self._state(bulk) == self._state(ref)
+
+    def test_create_page_is_the_one_page_case(self, machine4):
+        assert machine4.os.create_pages(1, 3) == range(0, 3)
+        assert machine4.os.create_page(2) == 3
+        assert machine4.os.master_copy(3) == PhysPage(2, 0)
+        assert machine4.os.create_pages(0, 0) == range(4, 4)
+
+    def test_exhaustion_allocates_nothing(self):
+        memory = LocalMemory(node_id=0, page_words=8, max_frames=4)
+        memory.allocate_frames(3)
+        with pytest.raises(AddressError):
+            memory.allocate_frames(2)
+        assert memory.allocated_frames == 3
+        assert memory.allocate_frames(1) == ([], range(3, 4))
+
+
+class TestColdPageFootprint:
+    def test_cold_pages_cost_under_twelve_bytes_each(self):
+        # Per cold page: an 8-byte directory slot and a 1-byte live flag;
+        # the rest of the budget is array over-allocation.
+        machine = PlusMachine(n_nodes=16)
+        page_words = machine.params.page_words
+        per_home = 262_144 // machine.n_nodes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            segments = [
+                machine.shm.alloc(per_home * page_words, home=home)
+                for home in range(machine.n_nodes)
+            ]
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(seg.vpages, range) for seg in segments)
+        assert used / 262_144 <= 12
+
+    def test_nodes_share_one_zero_template(self):
+        machine = PlusMachine(n_nodes=4)
+        zeros = {id(node.memory._zero) for node in machine.nodes}
+        assert zeros == {id(machine.zero_page)}
+        assert isinstance(machine.zero_page, bytes)
+
+    def test_cache_tags_allocate_on_first_fill(self):
+        machine = PlusMachine(n_nodes=4)
+        cache = machine.nodes[0].cache
+        assert cache._tags is None
+        cache.snoop(0, 0, 1)  # a snoop on an empty cache allocates nothing
+        assert not cache.contains(0, 0)
+        assert cache._tags is None
+        cache.read_cycles(0, 0)
+        assert cache.contains(0, 0)
+        cache.flush()
+        assert cache._tags is None
 
 
 class TestCompactArena:
