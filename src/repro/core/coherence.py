@@ -26,6 +26,7 @@ applications of the paper are built around.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -317,14 +318,16 @@ class CoherenceManager:
                 if mine is not None and self.tables.knows(mine.page):
                     nxt = self.tables.next_of(mine.page)
             if nxt is not None and nxt.node != dead:
-                self._send(
+                self._emit(
                     kind,
                     nxt.node,
-                    addr=nxt.word(msg.writes[0][0]),
-                    writes=msg.writes,
-                    origin=msg.origin,
-                    xid=msg.xid,
-                    op=msg.op,
+                    nxt.word(msg.writes[0][0]),
+                    0,
+                    msg.op,
+                    0,
+                    msg.origin,
+                    msg.xid,
+                    msg.writes,
                 )
             else:
                 self._complete_chain(msg.origin, msg.xid, msg.op)
@@ -334,50 +337,59 @@ class CoherenceManager:
             if master is not None and master.node == self.node_id:
                 # Master re-elected to this very node while the request
                 # was in flight: apply locally.
-                page = master.page
-                value = msg.value
-                origin = msg.origin
-                xid = msg.xid
                 self._work(
                     self.params.cm_write_cycles,
-                    lambda: self._apply_at_master(
-                        page, [(offset, value)], origin=origin, xid=xid, op=None
+                    partial(
+                        self._apply_at_master,
+                        master.page,
+                        [(offset, msg.value)],
+                        msg.origin,
+                        msg.xid,
+                        None,
                     ),
                 )
             elif master is not None and master.node != dead:
-                self._send(
+                self._emit(
                     MsgKind.WRITE_REQ,
                     master.node,
-                    addr=master.word(offset),
-                    value=msg.value,
-                    origin=msg.origin,
-                    xid=msg.xid,
+                    master.word(offset),
+                    msg.value,
+                    None,
+                    0,
+                    msg.origin,
+                    msg.xid,
                 )
             else:
                 # Mastership stayed on the crashed node (or repair never
                 # touched the page).  Its restarted incarnation is alive
                 # — that is what triggered this flush — so the original
                 # request simply continues against it.
-                self._send(
+                self._emit(
                     MsgKind.WRITE_REQ,
                     dead,
-                    addr=msg.addr,
-                    value=msg.value,
-                    origin=msg.origin,
-                    xid=msg.xid,
+                    msg.addr,
+                    msg.value,
+                    None,
+                    0,
+                    msg.origin,
+                    msg.xid,
                 )
         elif kind is MsgKind.RMW_REQ:
             value = self._fabricated_rmw_failure(msg.op)
             if msg.origin == self.node_id:
                 self._deliver_rmw_result(msg.xid, value, True)
             else:
-                self._send(
+                self._emit(
                     MsgKind.RMW_RESP,
                     msg.origin,
-                    value=value,
-                    op=msg.op,
-                    xid=msg.xid,
-                    chain_done=True,
+                    None,
+                    value,
+                    msg.op,
+                    0,
+                    -1,
+                    msg.xid,
+                    None,
+                    True,
                 )
         elif kind is MsgKind.READ_REQ:
             target = None
@@ -391,12 +403,15 @@ class CoherenceManager:
                             target = copy
                             break
             if target is not None and target.node != self.node_id:
-                self._send(
+                self._emit(
                     MsgKind.READ_REQ,
                     target.node,
-                    addr=target.word(msg.addr.offset),
-                    origin=msg.origin,
-                    xid=msg.xid,
+                    target.word(msg.addr.offset),
+                    0,
+                    None,
+                    0,
+                    msg.origin,
+                    msg.xid,
                 )
             elif target is not None:
                 # The surviving copy is local: serve it directly.
@@ -405,12 +420,15 @@ class CoherenceManager:
             else:
                 # No surviving copy elsewhere: read from the restarted
                 # incarnation (alive by construction of the flush).
-                self._send(
+                self._emit(
                     MsgKind.READ_REQ,
                     dead,
-                    addr=msg.addr,
-                    origin=msg.origin,
-                    xid=msg.xid,
+                    msg.addr,
+                    0,
+                    None,
+                    0,
+                    msg.origin,
+                    msg.xid,
                 )
         elif kind in (
             MsgKind.WRITE_ACK,
@@ -426,13 +444,17 @@ class CoherenceManager:
             # flush).  Re-send against the live incarnation; an answer
             # to a transaction that truly died with the old one is
             # absorbed at the receiver as a crash stray.
-            self._send(
+            self._emit(
                 kind,
                 dead,
-                value=msg.value,
-                op=msg.op,
-                xid=msg.xid,
-                chain_done=msg.chain_done,
+                None,
+                msg.value,
+                msg.op,
+                0,
+                -1,
+                msg.xid,
+                None,
+                msg.chain_done,
             )
         # Anything else (page-copy data, shootdown traffic) is simply
         # dropped: the transfer it belonged to died with the node.
@@ -464,12 +486,8 @@ class CoherenceManager:
                     self._remote_reqs.pop(xid, None)
                     continue
                 self.crash_redrives += 1
-                self._send(
-                    MsgKind.READ_REQ,
-                    dst,
-                    addr=addr,
-                    origin=self.node_id,
-                    xid=xid,
+                self._emit(
+                    MsgKind.READ_REQ, dst, addr, 0, None, 0, self.node_id, xid
                 )
             elif kind is MsgKind.RMW_REQ:
                 self._remote_reqs.pop(xid, None)
@@ -483,13 +501,15 @@ class CoherenceManager:
                     self._remote_reqs.pop(xid, None)
                     continue
                 self.crash_redrives += 1
-                self._send(
+                self._emit(
                     MsgKind.WRITE_REQ,
                     dst,
-                    addr=addr,
-                    value=value,
-                    origin=self.node_id,
-                    xid=xid,
+                    addr,
+                    value,
+                    None,
+                    0,
+                    self.node_id,
+                    xid,
                 )
 
     def _master_of_tolerant(self, page: int) -> Optional[PhysPage]:
@@ -520,7 +540,9 @@ class CoherenceManager:
                 self._remote_reqs.pop(xid, None)
                 waiter(value)
         else:
-            self._send(MsgKind.READ_RESP, origin, value=value, xid=xid)
+            self._emit(
+                MsgKind.READ_RESP, origin, None, value, None, 0, -1, xid
+            )
 
     @staticmethod
     def _fabricated_rmw_failure(op: Optional[OpCode]) -> int:
@@ -543,13 +565,7 @@ class CoherenceManager:
             # Scheduled service-queue work must not touch state cleared
             # by a crash: void the completion if the node died (and was
             # possibly restarted) between scheduling and execution.
-            gen = self._crash_gen
-            inner = fn
-
-            def fn() -> None:
-                if self._crash_gen == gen:
-                    inner()
-
+            fn = partial(self._unless_crashed, self._crash_gen, fn)
         engine = self.engine
         now = engine._now
         busy = self._busy_until
@@ -565,21 +581,32 @@ class CoherenceManager:
         else:
             engine.at(until, fn)
 
-    def _send(
+    def _unless_crashed(self, gen: int, fn: Callback) -> None:
+        if self._crash_gen == gen:
+            fn()
+
+    def _emit(
         self,
         kind: MsgKind,
         dst: int,
-        *,
-        addr: Optional[PhysAddr] = None,
-        value: int = 0,
-        op: Optional[OpCode] = None,
-        operand: int = 0,
-        origin: int = -1,
-        xid: int = -1,
+        addr: Optional[PhysAddr],
+        value: int,
+        op: Optional[OpCode],
+        operand: int,
+        origin: int,
+        xid: int,
         writes: Optional[List[Tuple[int, int]]] = None,
-        words: Optional[List[int]] = None,
         chain_done: bool = False,
+        words: Optional[List[int]] = None,
     ) -> None:
+        """Build one protocol message from this node and send it.
+
+        The CM's single emitter.  Arguments are positional (``kind``,
+        ``dst``, ``addr``, ``value``, ``op``, ``operand``, ``origin``,
+        ``xid``, then the rarer ``writes``, ``chain_done`` and
+        ``words``) so that service work can be queued as a
+        ``partial`` of it and every send is a plain positional call.
+        """
         # Pool-aware message construction: reuse a recycled Message when
         # identity does not matter (see Fabric._refresh_pooling); resetting
         # seq/msg_id makes a reused object indistinguishable from a fresh
@@ -604,18 +631,18 @@ class CoherenceManager:
             msg.epoch = 0
         else:
             msg = Message(
-                kind=kind,
-                src=self.node_id,
-                dst=dst,
-                addr=addr,
-                value=value,
-                op=op,
-                operand=operand,
-                origin=origin,
-                xid=xid,
-                writes=writes or [],
-                words=words or [],
-                chain_done=chain_done,
+                kind,
+                self.node_id,
+                dst,
+                addr,
+                value,
+                op,
+                operand,
+                origin,
+                xid,
+                words or [],
+                writes or [],
+                chain_done,
             )
         if self._reliable is None:
             fabric.send(msg)
@@ -655,12 +682,16 @@ class CoherenceManager:
             )
         self._work(
             self.params.cm_request_cycles,
-            lambda: self._send(
+            partial(
+                self._emit,
                 MsgKind.READ_REQ,
                 addr.node,
-                addr=addr,
-                origin=self.node_id,
-                xid=xid,
+                addr,
+                0,
+                None,
+                0,
+                self.node_id,
+                xid,
             ),
         )
 
@@ -673,19 +704,20 @@ class CoherenceManager:
         pending-writes entry; completion is tracked by the CM.  With the
         cache full the processor stalls until an entry frees.
         """
-
-        def admit() -> None:
-            if self.pending.is_full:
-                self.pending.when_room(admit)
-                return
-            xid = self.pending.add(addr)
-            on_accepted()
-            self._work(
-                self.params.cm_forward_cycles,
-                lambda: self._route_write(addr, value, xid),
+        pending = self.pending
+        if pending.is_full:
+            # Parked again (and counted as another stall) each time it
+            # is woken while the cache is still full.
+            pending.when_room(
+                partial(self.cpu_write, addr, value, on_accepted)
             )
-
-        self.pending.when_room(admit)
+            return
+        xid = pending.add(addr)
+        on_accepted()
+        self._work(
+            self.params.cm_forward_cycles,
+            partial(self._route_write, addr, value, xid),
+        )
 
     def cpu_issue(
         self,
@@ -700,34 +732,45 @@ class CoherenceManager:
         because a delayed operation reads (and usually writes) its target
         — while the issuer itself has a pending write to ``addr``.
         """
+        self.pending.when_clear(
+            addr, partial(self._alloc_rmw, op, addr, operand, on_token)
+        )
 
-        def alloc() -> None:
-            if not self.delayed.has_free_slot:
-                self.delayed.when_slot_free(alloc)
-                return
-            token = self.delayed.allocate(op)
-            self.counters.count_rmw(op)
-            xid = next(self._xids)
-            self._rmw_tokens[xid] = token
-            self._rmw_chains += 1
-            on_token(token)
-            self._work(
-                self.params.cm_forward_cycles,
-                lambda: self._route_rmw(op, addr, operand, xid),
+    def _alloc_rmw(
+        self,
+        op: OpCode,
+        addr: PhysAddr,
+        operand: int,
+        on_token: Callable[[Token], None],
+    ) -> None:
+        delayed = self.delayed
+        if not delayed.has_free_slot:
+            delayed.when_slot_free(
+                partial(self._alloc_rmw, op, addr, operand, on_token)
             )
-
-        self.pending.when_clear(addr, lambda: self.delayed.when_slot_free(alloc))
+            return
+        token = delayed.allocate(op)
+        self.counters.count_rmw(op)
+        xid = next(self._xids)
+        self._rmw_tokens[xid] = token
+        self._rmw_chains += 1
+        on_token(token)
+        self._work(
+            self.params.cm_forward_cycles,
+            partial(self._route_rmw, op, addr, operand, xid),
+        )
 
     def cpu_result(self, token: Token, on_value: ValueCallback) -> None:
         """Retrieve a delayed result, blocking until it is available.
 
         Reading the result deallocates the slot.
         """
+        self.delayed.when_ready(
+            token, partial(self._take_result, token, on_value)
+        )
 
-        def deliver() -> None:
-            on_value(self.delayed.take(token))
-
-        self.delayed.when_ready(token, deliver)
+    def _take_result(self, token: Token, on_value: ValueCallback) -> None:
+        on_value(self.delayed.take(token))
 
     def cpu_poll(self, token: Token) -> Optional[int]:
         """Non-blocking status check; the slot stays allocated."""
@@ -737,16 +780,15 @@ class CoherenceManager:
         """Fence: ``on_done`` fires once every earlier write and every
         delayed-operation update chain of this processor has completed."""
         self.counters.fences += 1
+        self._fence_check(on_done)
 
-        def check() -> None:
-            if not self.pending.is_empty:
-                self.pending.when_empty(check)
-            elif self._rmw_chains:
-                self._chain_waiters.park(check)
-            else:
-                on_done()
-
-        check()
+    def _fence_check(self, on_done: Callback) -> None:
+        if not self.pending.is_empty:
+            self.pending.when_empty(partial(self._fence_check, on_done))
+        elif self._rmw_chains:
+            self._chain_waiters.park(partial(self._fence_check, on_done))
+        else:
+            on_done()
 
     # ------------------------------------------------------------------
     # Write path.
@@ -758,13 +800,15 @@ class CoherenceManager:
                 self._remote_reqs[xid] = (
                     MsgKind.WRITE_REQ, addr.node, addr, None, value
                 )
-            self._send(
+            self._emit(
                 MsgKind.WRITE_REQ,
                 addr.node,
-                addr=addr,
-                value=value,
-                origin=self.node_id,
-                xid=xid,
+                addr,
+                value,
+                None,
+                0,
+                self.node_id,
+                xid,
             )
             return
         master = self.tables.master_of(addr.page)
@@ -774,11 +818,7 @@ class CoherenceManager:
             else:
                 self.counters.remote_writes += 1
             self._apply_at_master(
-                master.page,
-                [(addr.offset, value)],
-                origin=self.node_id,
-                xid=xid,
-                op=None,
+                master.page, [(addr.offset, value)], self.node_id, xid, None
             )
         else:
             self.counters.remote_writes += 1
@@ -791,13 +831,15 @@ class CoherenceManager:
                     None,
                     value,
                 )
-            self._send(
+            self._emit(
                 MsgKind.WRITE_REQ,
                 master.node,
-                addr=master.word(addr.offset),
-                value=value,
-                origin=self.node_id,
-                xid=xid,
+                master.word(addr.offset),
+                value,
+                None,
+                0,
+                self.node_id,
+                xid,
             )
 
     def _apply_at_master(
@@ -815,14 +857,16 @@ class CoherenceManager:
         if nxt is None:
             self._complete_chain(origin, xid, op)
         else:
-            self._send(
+            self._emit(
                 self._propagation_kind(),
                 nxt.node,
-                addr=nxt.word(writes[0][0]),
-                writes=writes,
-                origin=origin,
-                xid=xid,
-                op=op,
+                nxt.word(writes[0][0]),
+                0,
+                op,
+                0,
+                origin,
+                xid,
+                writes,
             )
 
     def _propagation_kind(self) -> MsgKind:
@@ -901,14 +945,16 @@ class CoherenceManager:
             self._complete_chain(origin, xid, op)
         else:
             self.fabric.release(msg)
-            self._send(
+            self._emit(
                 MsgKind.INVALIDATE,
                 nxt.node,
-                addr=nxt.word(addr.offset),
-                writes=writes,
-                origin=origin,
-                xid=xid,
-                op=op,
+                nxt.word(addr.offset),
+                0,
+                op,
+                0,
+                origin,
+                xid,
+                writes,
             )
 
     def cpu_refetch(self, addr: PhysAddr, on_value: ValueCallback) -> None:
@@ -933,17 +979,20 @@ class CoherenceManager:
                 cycle=self.engine.now,
                 node=self.node_id,
             )
-        key = (addr.page, addr.offset)
-        gen = self._inval_gen.get(key, 0)
+        gen = self._inval_gen.get((addr.page, addr.offset), 0)
+        self.cpu_read_remote(
+            master.word(addr.offset),
+            partial(self._revalidate, addr, gen, on_value),
+        )
 
-        def revalidate(value: int) -> None:
-            if self._inval_gen.get(key, 0) == gen:
-                self._write_word(addr.page, addr.offset, value)
-            else:
-                self.counters.stale_refetches += 1
-            on_value(value)
-
-        self.cpu_read_remote(master.word(addr.offset), revalidate)
+    def _revalidate(
+        self, addr: PhysAddr, gen: int, on_value: ValueCallback, value: int
+    ) -> None:
+        if self._inval_gen.get((addr.page, addr.offset), 0) == gen:
+            self._write_word(addr.page, addr.offset, value)
+        else:
+            self.counters.stale_refetches += 1
+        on_value(value)
 
     def _complete_chain(
         self, origin: int, xid: int, op: Optional[OpCode]
@@ -952,7 +1001,7 @@ class CoherenceManager:
         if origin == self.node_id:
             self._ack_local(xid, op)
         else:
-            self._send(MsgKind.WRITE_ACK, origin, xid=xid, op=op)
+            self._emit(MsgKind.WRITE_ACK, origin, None, 0, op, 0, -1, xid)
 
     def _ack_local(self, xid: int, op: Optional[OpCode]) -> None:
         if op is None:
@@ -994,14 +1043,15 @@ class CoherenceManager:
                 self._remote_reqs[xid] = (
                     MsgKind.RMW_REQ, addr.node, addr, op, operand
                 )
-            self._send(
+            self._emit(
                 MsgKind.RMW_REQ,
                 addr.node,
-                addr=addr,
-                op=op,
-                operand=operand,
-                origin=self.node_id,
-                xid=xid,
+                addr,
+                0,
+                op,
+                operand,
+                self.node_id,
+                xid,
             )
             return
         master = self.tables.master_of(addr.page)
@@ -1012,8 +1062,13 @@ class CoherenceManager:
                 self.counters.rmw_remote += 1
             self._work(
                 self._op_cycles[op.idx],
-                lambda: self._execute_rmw(
-                    op, master.word(addr.offset), operand, self.node_id, xid
+                partial(
+                    self._execute_rmw,
+                    op,
+                    master.word(addr.offset),
+                    operand,
+                    self.node_id,
+                    xid,
                 ),
             )
         else:
@@ -1026,14 +1081,15 @@ class CoherenceManager:
                     op,
                     operand,
                 )
-            self._send(
+            self._emit(
                 MsgKind.RMW_REQ,
                 master.node,
-                addr=master.word(addr.offset),
-                op=op,
-                operand=operand,
-                origin=self.node_id,
-                xid=xid,
+                master.word(addr.offset),
+                0,
+                op,
+                operand,
+                self.node_id,
+                xid,
             )
 
     def _execute_rmw(
@@ -1070,25 +1126,31 @@ class CoherenceManager:
             nxt = self.tables.next_of(page)
             if nxt is not None:
                 chain_done = False
-                self._send(
+                self._emit(
                     self._propagation_kind(),
                     nxt.node,
-                    addr=nxt.word(outcome.writes[0][0]),
-                    writes=outcome.writes,
-                    origin=origin,
-                    xid=xid,
-                    op=op,
+                    nxt.word(outcome.writes[0][0]),
+                    0,
+                    op,
+                    0,
+                    origin,
+                    xid,
+                    outcome.writes,
                 )
         if origin == self.node_id:
             self._deliver_rmw_result(xid, outcome.returned, chain_done)
         else:
-            self._send(
+            self._emit(
                 MsgKind.RMW_RESP,
                 origin,
-                value=outcome.returned,
-                op=op,
-                xid=xid,
-                chain_done=chain_done,
+                None,
+                outcome.returned,
+                op,
+                0,
+                -1,
+                xid,
+                None,
+                chain_done,
             )
 
     def _deliver_rmw_result(
@@ -1196,7 +1258,7 @@ class CoherenceManager:
 
     def _on_read_req(self, msg: Message) -> None:
         self._work(
-            self.params.cm_service_cycles, lambda: self._serve_read(msg)
+            self.params.cm_service_cycles, partial(self._serve_read, msg)
         )
 
     def _on_read_resp(self, msg: Message) -> None:
@@ -1220,13 +1282,13 @@ class CoherenceManager:
 
     def _on_update(self, msg: Message) -> None:
         self._work(
-            self.params.cm_write_cycles, lambda: self._apply_update(msg)
+            self.params.cm_write_cycles, partial(self._apply_update, msg)
         )
 
     def _on_invalidate(self, msg: Message) -> None:
         self._work(
             self.params.cm_write_cycles,
-            lambda: self._apply_invalidate(msg),
+            partial(self._apply_invalidate, msg),
         )
 
     def _on_write_ack(self, msg: Message) -> None:
@@ -1244,7 +1306,7 @@ class CoherenceManager:
 
     def _on_page_copy_req(self, msg: Message) -> None:
         self._work(
-            self.params.cm_service_cycles, lambda: self._serve_page_copy(msg)
+            self.params.cm_service_cycles, partial(self._serve_page_copy, msg)
         )
 
     def _on_page_copy_data(self, msg: Message) -> None:
@@ -1265,7 +1327,7 @@ class CoherenceManager:
     def _on_tlb_shootdown(self, msg: Message) -> None:
         self._work(
             self.params.tlb_shootdown_cycles,
-            lambda: self._serve_shootdown(msg),
+            partial(self._serve_shootdown, msg),
         )
 
     def _on_shootdown_ack(self, msg: Message) -> None:
@@ -1304,12 +1366,15 @@ class CoherenceManager:
             if master is None:
                 self._finish_read(origin, xid, 0)
             else:
-                self._send(
+                self._emit(
                     MsgKind.READ_REQ,
                     master.node,
-                    addr=master.word(addr.offset),
-                    origin=origin,
-                    xid=xid,
+                    master.word(addr.offset),
+                    0,
+                    None,
+                    0,
+                    origin,
+                    xid,
                 )
             return
         if not self.word_valid(addr):
@@ -1322,12 +1387,15 @@ class CoherenceManager:
                 # not-ready and retry against the repaired mapping.
                 self._finish_read(origin, xid, 0)
                 return
-            self._send(
+            self._emit(
                 MsgKind.READ_REQ,
                 master.node,
-                addr=master.word(addr.offset),
-                origin=origin,
-                xid=xid,
+                master.word(addr.offset),
+                0,
+                None,
+                0,
+                origin,
+                xid,
             )
             return
         try:
@@ -1342,12 +1410,15 @@ class CoherenceManager:
             if master is None:
                 self._finish_read(origin, xid, 0)
                 return
-            self._send(
+            self._emit(
                 MsgKind.READ_REQ,
                 master.node,
-                addr=master.word(addr.offset),
-                origin=origin,
-                xid=xid,
+                master.word(addr.offset),
+                0,
+                None,
+                0,
+                origin,
+                xid,
             )
             return
         self.fabric.release(msg)
@@ -1375,25 +1446,29 @@ class CoherenceManager:
         if master.node == self.node_id:
             self._work(
                 self.params.cm_write_cycles,
-                lambda: self._apply_at_master(
+                partial(
+                    self._apply_at_master,
                     master.page,
                     [(offset, value)],
-                    origin=origin,
-                    xid=xid,
-                    op=None,
+                    origin,
+                    xid,
+                    None,
                 ),
             )
         else:
             self.counters.writes_forwarded += 1
             self._work(
                 self.params.cm_forward_cycles,
-                lambda: self._send(
+                partial(
+                    self._emit,
                     MsgKind.WRITE_REQ,
                     master.node,
-                    addr=master.word(offset),
-                    value=value,
-                    origin=origin,
-                    xid=xid,
+                    master.word(offset),
+                    value,
+                    None,
+                    0,
+                    origin,
+                    xid,
                 ),
             )
 
@@ -1415,33 +1490,44 @@ class CoherenceManager:
             if origin == self.node_id:
                 self._deliver_rmw_result(xid, value, True)
             else:
-                self._send(
+                self._emit(
                     MsgKind.RMW_RESP,
                     origin,
-                    value=value,
-                    op=op,
-                    xid=xid,
-                    chain_done=True,
+                    None,
+                    value,
+                    op,
+                    0,
+                    -1,
+                    xid,
+                    None,
+                    True,
                 )
             return
         if master.node == self.node_id:
             self._work(
                 self._op_cycles[op.idx],
-                lambda: self._execute_rmw(
-                    op, master.word(offset), operand, origin, xid
+                partial(
+                    self._execute_rmw,
+                    op,
+                    master.word(offset),
+                    operand,
+                    origin,
+                    xid,
                 ),
             )
         else:
             self._work(
                 self.params.cm_forward_cycles,
-                lambda: self._send(
+                partial(
+                    self._emit,
                     MsgKind.RMW_REQ,
                     master.node,
-                    addr=master.word(offset),
-                    op=op,
-                    operand=operand,
-                    origin=origin,
-                    xid=xid,
+                    master.word(offset),
+                    0,
+                    op,
+                    operand,
+                    origin,
+                    xid,
                 ),
             )
 
@@ -1480,22 +1566,31 @@ class CoherenceManager:
             # The forwarded message reuses the writes list (rebound, never
             # mutated, so sharing it down the chain is safe).
             self.fabric.release(msg)
-            self._send(
+            self._emit(
                 MsgKind.UPDATE,
                 nxt.node,
-                addr=nxt.word(addr.offset),
-                writes=writes,
-                origin=origin,
-                xid=xid,
-                op=op,
+                nxt.word(addr.offset),
+                0,
+                op,
+                0,
+                origin,
+                xid,
+                writes,
             )
 
     def _serve_shootdown(self, msg: Message) -> None:
         """OS interrupt: drop the mapping of virtual page ``msg.value``,
         flush the TLB entry, and acknowledge the initiator."""
         self.shootdown_hook(msg.value)
-        self._send(
-            MsgKind.TLB_SHOOTDOWN_ACK, msg.origin, value=msg.value, xid=msg.xid
+        self._emit(
+            MsgKind.TLB_SHOOTDOWN_ACK,
+            msg.origin,
+            None,
+            msg.value,
+            None,
+            0,
+            -1,
+            msg.xid,
         )
 
     def _serve_page_copy(self, msg: Message) -> None:
@@ -1516,14 +1611,18 @@ class CoherenceManager:
             for offset in range(start, start + len(chunk))
             if offset in invalid
         ]
-        self._send(
+        self._emit(
             MsgKind.PAGE_COPY_DATA,
             msg.origin,
-            addr=msg.addr,
-            value=start,
-            words=chunk,
-            writes=stale,
-            xid=msg.xid,
+            msg.addr,
+            start,
+            None,
+            0,
+            -1,
+            msg.xid,
+            stale,
+            False,
+            chunk,
         )
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ context-switch curves.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional
 
@@ -51,7 +52,16 @@ class ThreadStatus(Enum):
 
 
 class SimThread:
-    """One simulated thread context."""
+    """One simulated thread context.
+
+    A thread has at most one outstanding request at a time, so its
+    state lives here rather than in per-request closures: ``request``
+    and ``addr`` describe the request in flight, ``value`` carries the
+    value it completed with (sent into the generator on resume), and
+    ``then`` is what runs once it completes.  ``resume``, ``wake`` and
+    ``proceed`` are the thread's continuations, built once by
+    :meth:`CPU.spawn` and scheduled or parked for every request.
+    """
 
     __slots__ = (
         "tid",
@@ -62,6 +72,14 @@ class SimThread:
         "stall_kind",
         "stall_start",
         "result",
+        "request",
+        "addr",
+        "value",
+        "then",
+        "completed",
+        "resume",
+        "wake",
+        "proceed",
     )
 
     def __init__(
@@ -79,6 +97,16 @@ class SimThread:
         self.stall_kind = ""
         self.stall_start = 0
         self.result: Any = None
+        self.request: Any = None
+        self.addr: Any = None
+        self.value: Any = None
+        self.then: Optional[Callable[[], None]] = None
+        #: Set by ``wake`` when the request completed synchronously,
+        #: inside the component call that started it.
+        self.completed = False
+        self.resume: Optional[Callable[[], None]] = None
+        self.wake: Optional[Callback] = None
+        self.proceed: Optional[Callable[[], None]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<thread {self.name}#{self.tid} {self.status.value}>"
@@ -108,7 +136,10 @@ class CPU:
             name or f"t{len(self.threads)}",
             tid=self.node.machine.next_tid(),
         )
-        thread.continuation = lambda: self._step(thread, None)
+        thread.resume = partial(self._step, thread)
+        thread.wake = partial(self._wake, thread)
+        thread.proceed = partial(self._proceed, thread)
+        thread.continuation = thread.resume
         self.threads.append(thread)
         self.engine.after(0, self._try_dispatch)
         return thread
@@ -124,8 +155,8 @@ class CPU:
         a real crash would not — but simulated threads hold no cleanup
         state) and marked DONE so the scheduler, the watchdog's blocked
         report and ``all_done`` treat them as gone.  In-flight engine
-        continuations referencing a killed thread are voided by the
-        DONE guards in :meth:`_step` / :meth:`_unblock`.
+        events and parked wake-ups of a killed thread are voided by the
+        DONE guards in :meth:`_step`, :meth:`_proceed` and :meth:`_wake`.
         """
         killed = []
         for t in self.threads:
@@ -157,19 +188,11 @@ class CPU:
     # ------------------------------------------------------------------
     # Scheduling.
     # ------------------------------------------------------------------
-    def _pick_ready(self) -> Optional[SimThread]:
-        n = len(self.threads)
-        for i in range(n):
-            t = self.threads[(self._rr + i) % n]
-            if t.status is ThreadStatus.READY:
-                self._rr = (self._rr + i + 1) % n
-                return t
-        return None
-
     def _try_dispatch(self) -> None:
         if self._current is not None:
             return
-        # _pick_ready inlined: this runs after every block/unblock/finish.
+        # Round-robin scan for the next READY context (runs after every
+        # block, wake-up and finish).
         threads = self.threads
         n = len(threads)
         rr = self._rr
@@ -207,9 +230,35 @@ class CPU:
         self._current = None
         self._try_dispatch()
 
-    def _unblock(self, thread: SimThread, cont: Callable[[], None]) -> None:
-        if thread.status is ThreadStatus.DONE:
+    def _wait(self, thread: SimThread, kind: str) -> None:
+        """Follow up a request the running ``thread`` just started.
+
+        The component was handed ``thread.wake``; if it already called
+        it (the request completed synchronously) run ``thread.then``
+        now, else block the thread until the wake-up arrives.
+        """
+        if thread.completed:
+            thread.completed = False
+            thread.then()
+        else:
+            self._block(thread, kind)
+
+    def _wake(self, thread: SimThread, value: Any = None) -> None:
+        """Completion of ``thread``'s outstanding request (``thread.wake``).
+
+        Called while the thread is still RUNNING, the request completed
+        inside the call that started it and :meth:`_wait` picks the
+        value up; otherwise the thread is blocked and becomes ready to
+        run ``thread.then``.
+        """
+        status = thread.status
+        if status is ThreadStatus.RUNNING:
+            thread.value = value
+            thread.completed = True
+            return
+        if status is ThreadStatus.DONE:
             return  # killed by a node crash while the wakeup was in flight
+        thread.value = value
         stall = self.engine._now - thread.stall_start
         counters = self.counters
         kind = thread.stall_kind
@@ -227,7 +276,7 @@ class CPU:
             field = f"{kind}_stall_cycles"
             setattr(counters, field, getattr(counters, field) + stall)
         thread.status = ThreadStatus.READY
-        thread.continuation = cont
+        thread.continuation = thread.then
         self._try_dispatch()
 
     def _busy(self, cycles: int, then: Callback) -> None:
@@ -243,47 +292,17 @@ class CPU:
         else:
             engine.after(cycles, then)
 
-    def _await(
-        self,
-        thread: SimThread,
-        kind: str,
-        subscribe: Callable[[Callback], None],
-        finish: Callback,
-    ) -> None:
-        """Run an operation that may or may not complete synchronously.
-
-        ``subscribe(cb)`` starts the operation; the component calls
-        ``cb(*args)`` on completion (immediately if it can).  ``finish``
-        receives the same args once the thread is current again.
-        """
-        # state[0]: 0 = starting, 1 = completed synchronously, 2 = blocked;
-        # state[1] holds the completion args (a list beats a dict of
-        # string keys on this per-operation path).
-        state = [0, None]
-
-        def cb(*args: Any) -> None:
-            if state[0] == 0:
-                state[0] = 1
-                state[1] = args
-            else:
-                self._unblock(thread, lambda: finish(*args))
-
-        subscribe(cb)
-        if state[0] == 0:
-            state[0] = 2
-            self._block(thread, kind)
-        else:
-            finish(*state[1])
-
     # ------------------------------------------------------------------
     # Request execution.
     # ------------------------------------------------------------------
-    def _step(self, thread: SimThread, send_value: Any) -> None:
+    def _step(self, thread: SimThread) -> None:
+        """Send ``thread.value`` into the generator and start the next
+        request (``thread.resume``)."""
         if thread.status is ThreadStatus.DONE:
             return  # killed by a node crash while the continuation was queued
         assert self._current is thread
         try:
-            request = thread.gen.send(send_value)
+            request = thread.gen.send(thread.value)
         except StopIteration as stop:
             thread.status = ThreadStatus.DONE
             thread.result = stop.value
@@ -304,26 +323,40 @@ class CPU:
                 self.counters.compute_cycles += cycles
             else:
                 self.counters.spin_cycles += cycles
-            self._busy(cycles, lambda: self._step(thread, None))
+            thread.value = None
+            self._busy(cycles, thread.resume)
         elif cls is Read:
-            self._do_read(thread, request.vaddr)
+            thread.request = request
+            thread.addr, mmu_cycles = self.node.translate(request.vaddr)
+            self._busy(mmu_cycles, thread.proceed)
         elif cls is Write:
-            self._do_write(thread, request.vaddr, request.value)
-        elif cls is Issue:
-            self._do_issue(thread, request)
-        elif cls is AwaitResult:
-            self._do_await_result(thread, request.token)
-        elif cls is PollResult:
-            value = self.node.cm.cpu_poll(request.token)
+            thread.request = request
+            thread.addr, mmu_cycles = self.node.translate(request.vaddr)
             self._busy(
-                self.params.read_result_cycles,
-                lambda: self._step(thread, value),
+                mmu_cycles + self.params.write_issue_cycles, thread.proceed
             )
+        elif cls is Issue:
+            thread.request = request
+            thread.addr, mmu_cycles = self.node.translate(request.vaddr)
+            self._busy(
+                mmu_cycles + self.params.issue_delayed_cycles, thread.proceed
+            )
+        elif cls is AwaitResult:
+            thread.request = request
+            thread.then = thread.proceed
+            self.node.cm.cpu_result(request.token, thread.wake)
+            self._wait(thread, "sync")
+        elif cls is PollResult:
+            thread.value = self.node.cm.cpu_poll(request.token)
+            self._busy(self.params.read_result_cycles, thread.resume)
         elif cls is Fence:
-            self._do_fence(thread)
+            thread.then = thread.resume
+            self.node.cm.cpu_fence(thread.wake)
+            self._wait(thread, "fence")
         elif cls is Yield:
+            thread.value = None
             thread.status = ThreadStatus.READY
-            thread.continuation = lambda: self._step(thread, None)
+            thread.continuation = thread.resume
             self._current = None
             self._try_dispatch()
         elif isinstance(
@@ -340,113 +373,60 @@ class CPU:
                 "simulation request (use the ThreadCtx helpers)"
             )
 
-    # -- reads -----------------------------------------------------------
-    def _do_read(self, thread: SimThread, vaddr: int) -> None:
-        paddr, mmu_cycles = self.node.translate(vaddr)
-        cm = self.node.cm
+    def _proceed(self, thread: SimThread) -> None:
+        """Carry ``thread.request`` past its charge (``thread.proceed``).
 
-        def proceed() -> None:
-            monitor = self.node.machine.invariant_monitor
-            if monitor is not None:
-                # Weak-ordering read-block rule: a read must never proceed
-                # while the issuer still has a pending write to the target.
-                monitor.on_read_proceed(self.node.node_id, paddr)
-            if paddr.node == self.node.node_id:
-                if not cm.word_valid(paddr):
-                    # Invalidate-protocol miss: the local copy is stale;
-                    # fetch from the master and revalidate (a remote read).
-                    self._await(
-                        thread,
-                        "read",
-                        lambda cb: cm.cpu_refetch(paddr, cb),
-                        lambda value: self._step(thread, value),
-                    )
-                    return
-                cycles = self.node.cache.read_cycles(paddr.page, paddr.offset)
-                value = self.node.memory.read(paddr.page, paddr.offset)
-                self.counters.local_reads += 1
-                self._busy(cycles, lambda: self._step(thread, value))
-            else:
-                self.node.note_remote_ref(vaddr)
-                self._await(
-                    thread,
-                    "read",
-                    lambda cb: cm.cpu_read_remote(paddr, cb),
-                    lambda value: self._step(thread, value),
-                )
-
-        def after_mmu() -> None:
-            if thread.status is ThreadStatus.DONE:
-                return  # killed by a node crash during the MMU charge
+        Reads, writes and delayed-op issues arrive here once their MMU
+        (and issue) cycles are charged, and a read again after waiting
+        out a pending write; a delayed result arrives once it is
+        available, to charge the result read.
+        """
+        request = thread.request
+        cls = request.__class__
+        if cls is AwaitResult:
+            self._busy(self.params.read_result_cycles, thread.resume)
+            return
+        if thread.status is ThreadStatus.DONE:
+            return  # killed by a node crash during the charge
+        paddr = thread.addr
+        node = self.node
+        cm = node.cm
+        if cls is Read:
             # Re-check after every wake-up: another thread on this node
             # can issue a fresh write to the same address between the
             # old write's ack and this thread being dispatched again.
             if cm.pending.pending_at(paddr):
-                self._await(
-                    thread,
-                    "read",
-                    lambda cb: cm.when_safe_to_read(paddr, cb),
-                    after_mmu,
-                )
+                thread.then = thread.proceed
+                cm.when_safe_to_read(paddr, thread.wake)
+                self._wait(thread, "read")
+                return
+            monitor = node.machine.invariant_monitor
+            if monitor is not None:
+                # Weak-ordering read-block rule: a read must never proceed
+                # while the issuer still has a pending write to the target.
+                monitor.on_read_proceed(node.node_id, paddr)
+            if paddr.node == node.node_id:
+                if cm.word_valid(paddr):
+                    cycles = node.cache.read_cycles(paddr.page, paddr.offset)
+                    thread.value = node.memory.read(paddr.page, paddr.offset)
+                    self.counters.local_reads += 1
+                    self._busy(cycles, thread.resume)
+                    return
+                # Invalidate-protocol miss: the local copy is stale;
+                # fetch from the master and revalidate (a remote read).
+                thread.then = thread.resume
+                cm.cpu_refetch(paddr, thread.wake)
             else:
-                proceed()
-
-        self._busy(mmu_cycles, after_mmu)
-
-    # -- writes ------------------------------------------------------------
-    def _do_write(self, thread: SimThread, vaddr: int, value: int) -> None:
-        paddr, mmu_cycles = self.node.translate(vaddr)
-
-        def issue() -> None:
-            if thread.status is ThreadStatus.DONE:
-                return  # killed by a node crash during the issue charge
-            self.node.cache.note_write(paddr.page, paddr.offset)
-            self._await(
-                thread,
-                "write",
-                lambda cb: self.node.cm.cpu_write(paddr, value, cb),
-                lambda: self._step(thread, None),
-            )
-
-        self._busy(mmu_cycles + self.params.write_issue_cycles, issue)
-
-    # -- delayed operations ---------------------------------------------------
-    def _do_issue(self, thread: SimThread, request: Issue) -> None:
-        paddr, mmu_cycles = self.node.translate(request.vaddr)
-
-        def issue() -> None:
-            if thread.status is ThreadStatus.DONE:
-                return  # killed by a node crash during the issue charge
-            self._await(
-                thread,
-                "sync",
-                lambda cb: self.node.cm.cpu_issue(
-                    request.op, paddr, request.operand, cb
-                ),
-                lambda token: self._step(thread, token),
-            )
-
-        self._busy(mmu_cycles + self.params.issue_delayed_cycles, issue)
-
-    def _do_await_result(self, thread: SimThread, token) -> None:
-        def finish(value: int) -> None:
-            self._busy(
-                self.params.read_result_cycles,
-                lambda: self._step(thread, value),
-            )
-
-        self._await(
-            thread,
-            "sync",
-            lambda cb: self.node.cm.cpu_result(token, cb),
-            finish,
-        )
-
-    # -- fence ---------------------------------------------------------------
-    def _do_fence(self, thread: SimThread) -> None:
-        self._await(
-            thread,
-            "fence",
-            lambda cb: self.node.cm.cpu_fence(cb),
-            lambda: self._step(thread, None),
-        )
+                node.note_remote_ref(request.vaddr)
+                thread.then = thread.resume
+                cm.cpu_read_remote(paddr, thread.wake)
+            self._wait(thread, "read")
+        elif cls is Write:
+            node.cache.note_write(paddr.page, paddr.offset)
+            thread.then = thread.resume
+            cm.cpu_write(paddr, request.value, thread.wake)
+            self._wait(thread, "write")
+        else:  # Issue
+            thread.then = thread.resume
+            cm.cpu_issue(request.op, paddr, request.operand, thread.wake)
+            self._wait(thread, "sync")

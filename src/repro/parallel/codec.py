@@ -7,7 +7,7 @@ module is the wire format: each staged message becomes one flat record
 of signed 64-bit words, packed and unpacked with plain list/``array``
 operations — no pickle anywhere on the barrier path.
 
-Record layout (version 1)
+Record layout (version 2)
 -------------------------
 Every record starts with its total length in words, so a consumer can
 walk a drained ring without any out-of-band framing::
@@ -15,12 +15,15 @@ walk a drained ring without any out-of-band framing::
     [LEN, ARRIVE, SRC_REGION, STAGE_SEQ, KIND,
      SRC, DST, ADDR_NODE, ADDR_PAGE, ADDR_OFF,
      VALUE, OP, OPERAND, ORIGIN, XID,
-     CHAIN_DONE, SEQ, EPOCH, MSG_ID, N_WORDS, N_WRITES,
+     FLAGS, SEQ, EPOCH, MSG_ID, N_WORDS, N_WRITES,
      words..., (write offset, write value) pairs...]
 
-``ADDR_NODE`` is -1 for ``addr=None`` (the page/offset words are then
-0); ``OP`` is the dense :class:`~repro.core.params.OpCode` index or -1
-for ``None``.  The field set and order mirror
+``FLAGS`` holds ``chain_done`` in bit 0 and, in bit 1, whether the
+message has an address at all: ``addr=None`` clears it and leaves the
+three address words 0, so every ``PhysAddr``, negative node ids
+included, round-trips.  ``OP`` is the dense
+:class:`~repro.core.params.OpCode` index or -1 for ``None``.  The
+field set and order mirror
 :data:`repro.network.message.MESSAGE_FIELDS` — that tuple is the
 versioned contract between ``Message`` and this codec, and
 :data:`CODEC_VERSION` must bump whenever either side changes.
@@ -58,10 +61,14 @@ __all__ = [
 
 #: Wire-format version, stamped into every ring header; bump on any
 #: change to the record layout or to ``MESSAGE_FIELDS``.
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 #: Fixed header words per flat record (through N_WRITES).
 _FIXED_WORDS = 21
+
+#: FLAGS bits.
+_CHAIN_DONE = 1
+_HAS_ADDR = 2
 
 #: Sentinel in the KIND slot marking a pickled fallback record.
 _FALLBACK_KIND = -1
@@ -92,10 +99,13 @@ def _encode_flat(
     field outside the flat format (the caller then falls back)."""
     addr = msg.addr
     if addr is None:
-        addr_node = -1
-        addr_page = addr_off = 0
+        flags = 0
+        addr_node = addr_page = addr_off = 0
     else:
+        flags = _HAS_ADDR
         addr_node, addr_page, addr_off = addr
+    if msg.chain_done:
+        flags |= _CHAIN_DONE
     words = msg.words
     writes = msg.writes
     record = [
@@ -114,7 +124,7 @@ def _encode_flat(
         msg.operand,
         msg.origin,
         msg.xid,
-        1 if msg.chain_done else 0,
+        flags,
         msg.seq,
         msg.epoch,
         msg.msg_id,
@@ -238,7 +248,7 @@ def _decode_flat(
             f"corrupt flat record at word {pos}: length {length} does "
             f"not match {n_words} payload words + {n_writes} writes"
         )
-    addr_node = words[pos + 7]
+    flags = words[pos + 15]
     op_idx = words[pos + 11]
     if op_idx != -1 and not 0 <= op_idx < len(_OPS_BY_IDX):
         raise CodecError(f"unknown op index {op_idx}")
@@ -248,9 +258,9 @@ def _decode_flat(
         src=words[pos + 5],
         dst=words[pos + 6],
         addr=(
-            None
-            if addr_node == -1
-            else PhysAddr(addr_node, words[pos + 8], words[pos + 9])
+            PhysAddr(words[pos + 7], words[pos + 8], words[pos + 9])
+            if flags & _HAS_ADDR
+            else None
         ),
         value=words[pos + 10],
         op=None if op_idx == -1 else _OPS_BY_IDX[op_idx],
@@ -262,7 +272,7 @@ def _decode_flat(
             (words[i], words[i + 1])
             for i in range(body + n_words, body + n_words + 2 * n_writes, 2)
         ],
-        chain_done=bool(words[pos + 15]),
+        chain_done=bool(flags & _CHAIN_DONE),
         seq=words[pos + 16],
         epoch=words[pos + 17],
         msg_id=words[pos + 18],

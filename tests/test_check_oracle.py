@@ -111,7 +111,7 @@ def test_oracle_catches_duplicate_ack():
         def doubled(origin, xid, op, cm=cm, orig=orig):
             orig(origin, xid, op)
             if origin != cm.node_id:
-                cm._send(MsgKind.WRITE_ACK, origin, xid=xid, op=op)
+                cm._emit(MsgKind.WRITE_ACK, origin, None, 0, op, 0, -1, xid)
 
         cm._complete_chain = doubled
 

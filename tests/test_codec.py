@@ -104,6 +104,20 @@ def test_codec_round_trips_any_batch(staged):
         assert back.chain_done is msg.chain_done
 
 
+def test_codec_keeps_negative_node_address():
+    """``addr=None`` has its own flag: a real address on node -1 must
+    not decode as ``None`` (nor ``None`` as node -1)."""
+    real = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, addr=PhysAddr(-1, 3, 4))
+    none = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, chain_done=True)
+    out = []
+    assert encode_staged(0, 0, 0, real, out)
+    assert encode_staged(0, 0, 1, none, out)
+    (_, _, _, real_back), (_, _, _, none_back) = decode_records(out)
+    assert real_back.addr == PhysAddr(-1, 3, 4)
+    assert type(real_back.addr) is PhysAddr
+    assert none_back.addr is None and none_back.chain_done is True
+
+
 def test_codec_falls_back_on_out_of_range_value():
     msg = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, value=1 << 70)
     out = []
@@ -143,7 +157,7 @@ def test_message_fields_pin_the_codec_contract():
     this pin fails until MESSAGE_FIELDS (and CODEC_VERSION) follow."""
     names = tuple(f.name for f in dataclasses.fields(Message))
     assert names == MESSAGE_FIELDS
-    assert CODEC_VERSION == 1
+    assert CODEC_VERSION == 2
 
 
 # ----------------------------------------------------------------------

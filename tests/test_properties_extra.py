@@ -1,7 +1,7 @@
 """Additional property-based tests: invalidate protocol, live
 replication under random writes, tree barrier, and the paging model."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.params import PAPER_PARAMS
 from repro.machine import PlusMachine
@@ -13,22 +13,13 @@ SLOW = settings(
 )
 
 
-@SLOW
-@given(
-    data=st.data(),
-    n_nodes=st.integers(min_value=2, max_value=5),
-)
-def test_invalidate_protocol_readers_converge(data, n_nodes):
-    """Under the invalidate variant, post-run reads through the refetch
-    path agree with the master on every node."""
-    params = PAPER_PARAMS.evolved(coherence_protocol="invalidate")
-    machine = PlusMachine(n_nodes=n_nodes, params=params)
-    home = data.draw(st.integers(min_value=0, max_value=n_nodes - 1))
-    replicas = [n for n in range(n_nodes) if n != home][
-        : data.draw(st.integers(min_value=0, max_value=n_nodes - 1))
-    ]
-    seg = machine.shm.alloc(3, home=home, replicas=replicas)
-    writes = data.draw(
+@st.composite
+def invalidate_scenarios(draw):
+    """``(n_nodes, home, n_replicas, writes)`` for the invalidate test."""
+    n_nodes = draw(st.integers(min_value=2, max_value=5))
+    home = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+    n_replicas = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+    writes = draw(
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=n_nodes - 1),
@@ -39,30 +30,52 @@ def test_invalidate_protocol_readers_converge(data, n_nodes):
             max_size=15,
         )
     )
+    return n_nodes, home, n_replicas, writes
+
+
+@SLOW
+@given(scenario=invalidate_scenarios())
+# A writer that fills its pending-writes cache blocks, and its fence
+# ends only after a co-located reader's long compute: readers must not
+# start before every writer's fence has completed.
+@example(scenario=(3, 1, 2, [(0, 0, 1)] * 10 + [(0, 0, 2)]))
+def test_invalidate_protocol_readers_converge(scenario):
+    """Under the invalidate variant, reads through the refetch path made
+    after every writer has fenced agree with the master on every node."""
+    n_nodes, home, n_replicas, writes = scenario
+    params = PAPER_PARAMS.evolved(coherence_protocol="invalidate")
+    machine = PlusMachine(n_nodes=n_nodes, params=params)
+    replicas = [n for n in range(n_nodes) if n != home][:n_replicas]
+    seg = machine.shm.alloc(3, home=home, replicas=replicas)
     results = {}
+    per_node = {}
+    for node, offset, value in writes:
+        per_node.setdefault(node, []).append((offset, value))
+    fenced = []
 
     def writer(ctx, my_writes):
         for offset, value in my_writes:
             yield from ctx.write(seg.base + offset, value)
             yield from ctx.compute(7)
         yield from ctx.fence()
+        fenced.append(ctx.node_id)
 
     def reader(ctx, node):
-        yield from ctx.compute(20_000)
+        while len(fenced) < len(per_node):
+            yield from ctx.compute(500)
+            yield from ctx.yield_cpu()  # let a co-located writer run
         values = []
         for offset in range(3):
             v = yield from ctx.read(seg.base + offset)
             values.append(v)
         results[node] = values
 
-    per_node = {}
-    for node, offset, value in writes:
-        per_node.setdefault(node, []).append((offset, value))
     for node, my_writes in per_node.items():
         machine.spawn(node, writer, my_writes)
     for node in range(n_nodes):
         machine.spawn(node, reader, node)
     machine.run()
+    assert len(results) == n_nodes
     masters = [machine.peek(seg.base + o) for o in range(3)]
     for node, values in results.items():
         assert values == masters, (node, values, masters)
