@@ -315,16 +315,13 @@ def benchmark_space(smoke: bool = False) -> Dict:
             "events": checks[1]["events"],
             "messages": checks[1]["messages"],
             "identical_output": True,
-            # Transport metrics for the parallel run (see run.transport):
-            # barrier_count/bytes/bypassed are deterministic for a
-            # given transport+policy; barrier_wall_s is the time the
-            # driver spent inside window steps (sync + region work).
-            "transport": tr["mode"],
-            "adaptive": tr["adaptive"],
+            # Driver metrics for the parallel run (see run.transport):
+            # barrier_count/bytes/staged_messages are deterministic for
+            # a given window; barrier_wall_s is the time the driver
+            # spent inside window steps (sync + region work).
             "barrier_count": tr["barriers"],
             "barrier_wall_s": round(tr["barrier_wall_s"], 3),
             "transport_bytes": tr["bytes"],
-            "pickle_bypassed": tr["pickle_bypassed"],
             "staged_messages": tr["messages"],
         }
         if walls[jobs] > walls[1]:
@@ -698,12 +695,10 @@ def main(argv=None) -> int:
                 f"core(s), bit-identical: {e['identical_output']})"
             )
             print(
-                f"       transport {e['transport']}"
-                f"{' adaptive' if e['adaptive'] else ''}: "
-                f"{e['barrier_count']} barriers "
+                f"       {e['barrier_count']} barriers "
                 f"({e['barrier_wall_s']}s), "
-                f"{e['transport_bytes']} bytes, "
-                f"{e['pickle_bypassed']}/{e['staged_messages']} pickle-free"
+                f"{e['staged_messages']} staged messages, "
+                f"{e['transport_bytes']} bytes"
             )
     if "scale" in results:
         sc = results["scale"]

@@ -659,8 +659,6 @@ def run_stress(
     space_jobs: int = 1,
     space_window: int = 0,
     space_verify: bool = False,
-    space_transport: Optional[str] = None,
-    space_adaptive: bool = True,
 ) -> StressResult:
     """Run one seeded stress experiment and judge it with the oracle.
 
@@ -674,12 +672,10 @@ def run_stress(
     ``space_regions > 0`` runs the seed's experiment on the
     space-partitioned machine instead (``space_jobs >= 2`` with one
     persistent worker process per region, else the in-process serial
-    space driver); ``space_transport`` picks the cross-region transport
-    and ``space_adaptive`` the window policy (see
-    :func:`repro.parallel.spacetime.run_space`).  ``space_verify`` runs
-    the requested mode *and* the canonical serial reference (memory
-    transport, fixed windows) and fails the seed unless their outputs
-    are bit-identical (trace checksum, final memory, clock).
+    space driver; see :func:`repro.parallel.spacetime.run_space`).
+    ``space_verify`` runs the worker-process driver *and* the serial
+    reference and fails the seed unless their outputs are bit-identical
+    (trace checksum, final memory, clock).
     """
     if space_regions:
         probe = StressConfig.from_seed(
@@ -711,8 +707,6 @@ def run_stress(
             jobs=space_jobs,
             window=space_window,
             verify=space_verify,
-            transport=space_transport,
-            adaptive=space_adaptive,
         )
     config = StressConfig.from_seed(
         seed,
@@ -750,8 +744,6 @@ def _run_stress_space(
     jobs: int,
     window: int,
     verify: bool,
-    transport: Optional[str] = None,
-    adaptive: bool = True,
 ) -> StressResult:
     """One stress seed on the space-partitioned machine.
 
@@ -762,11 +754,9 @@ def _run_stress_space(
     runs are judged by the :class:`CoherenceOracle` over the merged
     cross-region capture, overlaid onto a fresh reference build.
 
-    With ``verify`` the seed runs under the requested mode *and* the
-    canonical serial reference (memory transport, fixed windows); any
-    checksum divergence is itself the failure.  Because every transport
-    and window policy is compared against the same reference, all
-    verified cells are transitively bit-identical to each other.
+    With ``verify`` the seed runs under the worker-process driver *and*
+    the serial reference; any checksum divergence is itself the
+    failure.
     """
     from repro.check.oracle import Violation
     from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
@@ -794,13 +784,8 @@ def _run_stress_space(
         label=f"space seed {seed}",
     )
     if verify:
-        serial = run_space(spec, jobs=1, adaptive=False)
-        run = run_space(
-            spec,
-            jobs=max(2, jobs),
-            transport=transport,
-            adaptive=adaptive,
-        )
+        serial = run_space(spec, jobs=1)
+        run = run_space(spec, jobs=max(2, jobs))
         want, got = run_checksums(serial), run_checksums(run)
         if want != got:
             diffs = ", ".join(
@@ -815,7 +800,7 @@ def _run_stress_space(
             _harvest_space(result, run)
             return result
     else:
-        run = run_space(spec, jobs=jobs, transport=transport, adaptive=adaptive)
+        run = run_space(spec, jobs=jobs)
     _harvest_space(result, run)
     if run.error is not None:
         result.live_error = f"{type(run.error).__name__}: {run.error}"
@@ -870,8 +855,6 @@ def run_seeds(
     space_jobs: int = 1,
     space_window: int = 0,
     space_verify: bool = False,
-    space_transport: Optional[str] = None,
-    space_adaptive: bool = True,
 ) -> List[StressResult]:
     """Run ``count`` consecutive seeds; stop at the first failure unless
     ``keep_going`` (a *failure* means a bug-injection run the checkers
@@ -903,8 +886,6 @@ def run_seeds(
             space_jobs=space_jobs,
             space_window=space_window,
             space_verify=space_verify,
-            space_transport=space_transport,
-            space_adaptive=space_adaptive,
         )
     tasks = [
         SweepTask.make(

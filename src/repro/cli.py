@@ -334,15 +334,7 @@ def _cmd_run(args) -> int:
         }
     spec = SpaceSpec.make(builder, kwargs, label=args.workload)
 
-    transport = (
-        None if args.space_transport == "auto" else args.space_transport
-    )
-    run = run_space(
-        spec,
-        jobs=args.space_jobs,
-        transport=transport,
-        adaptive=not args.space_fixed_window,
-    )
+    run = run_space(spec, jobs=args.space_jobs)
     run.raise_if_error()
     checks = run_checksums(run)
     rows = [
@@ -371,11 +363,8 @@ def _cmd_run(args) -> int:
     )
     tr = run.transport
     print(
-        f"  transport {tr['mode']}"
-        f"{' adaptive' if tr['adaptive'] else ''}: "
-        f"{tr['barriers']:,} barriers "
-        f"({tr['barrier_wall_s']:.3f}s), {tr['bytes']:,} bytes, "
-        f"{tr['pickle_bypassed']:,}/{tr['messages']:,} pickle-free"
+        f"  {tr['barriers']:,} barriers ({tr['barrier_wall_s']:.3f}s), "
+        f"{tr['messages']:,} staged messages, {tr['bytes']:,} bytes"
     )
     print(f"  memory {checks['memory'][:16]}  trace {checks['trace'][:16]}")
 
@@ -395,8 +384,7 @@ def _cmd_run(args) -> int:
         print("  distances verified against Dijkstra")
 
     if args.space_verify and args.space_jobs != 1:
-        # Canonical reference: memory transport, fixed windows.
-        serial = run_checksums(run_space(spec, jobs=1, adaptive=False))
+        serial = run_checksums(run_space(spec, jobs=1))
         diffs = [k for k in checks if checks[k] != serial[k]]
         if diffs:
             print(f"FAIL: parallel diverged from serial on {diffs}")
@@ -453,12 +441,6 @@ def _cmd_check(args) -> int:
             space_jobs=args.space_jobs,
             space_window=args.space_window,
             space_verify=args.space_verify,
-            space_transport=(
-                None
-                if args.space_transport == "auto"
-                else args.space_transport
-            ),
-            space_adaptive=not args.space_fixed_window,
         )
 
     if args.seed is not None:
@@ -1068,31 +1050,15 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             metavar="W",
-            help="synchronization window in cycles (default: the "
-            "per-hop network latency; capped at the conservative "
-            "lookahead bound)",
+            help="synchronization window in cycles (default and cap: "
+            "the conservative lookahead bound, net_fixed_cycles + "
+            "net_hop_cycles)",
         )
         p.add_argument(
             "--space-verify",
             action="store_true",
             help="also run the serial space driver and require the "
             "parallel run to match it checksum-for-checksum",
-        )
-        p.add_argument(
-            "--space-transport",
-            choices=("auto", "shm", "pickle"),
-            default="auto",
-            help="cross-region transport: shm = zero-pickle "
-            "shared-memory boundary rings (parallel default), pickle = "
-            "legacy queue transport; auto picks per mode.  All "
-            "transports are bit-identical",
-        )
-        p.add_argument(
-            "--space-fixed-window",
-            action="store_true",
-            help="disable adaptive window widening (every barrier "
-            "advances exactly one window); bit-identical to adaptive, "
-            "useful for timing comparisons",
         )
 
     for name, (_fn, help_) in COMMANDS.items():

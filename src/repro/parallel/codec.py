@@ -7,7 +7,7 @@ module is the wire format: each staged message becomes one flat record
 of signed 64-bit words, packed and unpacked with plain list/``array``
 operations — no pickle anywhere on the barrier path.
 
-Record layout (version 2)
+Record layout (version 3)
 -------------------------
 Every record starts with its total length in words, so a consumer can
 walk a drained ring without any out-of-band framing::
@@ -28,40 +28,36 @@ field set and order mirror
 versioned contract between ``Message`` and this codec, and
 :data:`CODEC_VERSION` must bump whenever either side changes.
 
-Fallback records
-----------------
-A message whose fields do not fit the flat format (an integer outside
-signed 64-bit range, a malformed writes tuple) is carried as a pickled
-blob *inside the same ring*, framed as::
-
-    [LEN, ARRIVE, SRC_REGION, STAGE_SEQ, -1, N_BYTES, payload words...]
-
-with the pickle bytes packed little-endian into as many words as they
-need.  ``KIND = -1`` marks the variant.  Fallbacks keep the transport
-total (one ordered channel per region pair) and are counted by the
-caller so the bench can report how much traffic actually bypassed
-pickle.
+Unencodable messages
+--------------------
+A message with a field outside the flat format (an integer outside
+signed 64-bit range, a non-``int`` value, a malformed writes tuple) has
+no record: :func:`encode_staged` raises :class:`CodecError`.  The
+space-partitioned fabric calls :func:`check_encodable` on every
+cross-region message as it stages it, so such a message fails the run
+at its send cycle under every driver — the in-process reference
+included — instead of only where bytes actually cross a process.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import List, Sequence, Tuple
 
 from repro.core.params import OpCode
-from repro.errors import SimulationError
+from repro.errors import CodecError
 from repro.network.message import KINDS_BY_IDX, Message
 
 __all__ = [
     "CODEC_VERSION",
     "CodecError",
+    "check_encodable",
     "encode_staged",
     "decode_records",
 ]
 
 #: Wire-format version, stamped into every ring header; bump on any
 #: change to the record layout or to ``MESSAGE_FIELDS``.
-CODEC_VERSION = 2
+CODEC_VERSION = 3
 
 #: Fixed header words per flat record (through N_WRITES).
 _FIXED_WORDS = 21
@@ -70,9 +66,6 @@ _FIXED_WORDS = 21
 _CHAIN_DONE = 1
 _HAS_ADDR = 2
 
-#: Sentinel in the KIND slot marking a pickled fallback record.
-_FALLBACK_KIND = -1
-
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
@@ -80,23 +73,18 @@ _INT64_MAX = (1 << 63) - 1
 _OPS_BY_IDX = tuple(OpCode)
 
 
-class CodecError(SimulationError):
-    """A record that cannot be represented or parsed by this codec."""
-
-
 def _fits(value: int) -> bool:
     return _INT64_MIN <= value <= _INT64_MAX
 
 
-def _encode_flat(
+def _record(
     arrive: int,
     src_region: int,
     stage_seq: int,
     msg: Message,
-    out: List[int],
-) -> None:
-    """Append one flat record for ``msg``; raises CodecError on any
-    field outside the flat format (the caller then falls back)."""
+) -> List[int]:
+    """One flat record for ``msg``; raises CodecError on any field
+    outside the flat format."""
     addr = msg.addr
     if addr is None:
         flags = 0
@@ -135,42 +123,24 @@ def _encode_flat(
     for write in writes:
         if len(write) != 2:
             raise CodecError(
-                f"write tuple {write!r} is not an (offset, value) pair"
+                f"{msg.kind.name} {msg.src}->{msg.dst}: write tuple "
+                f"{write!r} is not an (offset, value) pair"
             )
         record.extend(write)
     record[0] = len(record)
     for value in record:
         if type(value) is not int or not _fits(value):
             raise CodecError(
-                f"field value {value!r} does not fit a signed 64-bit word"
+                f"{msg.kind.name} {msg.src}->{msg.dst}: field value "
+                f"{value!r} does not fit a signed 64-bit word"
             )
-    out.extend(record)
+    return record
 
 
-def _encode_fallback(
-    arrive: int,
-    src_region: int,
-    stage_seq: int,
-    msg: Message,
-    out: List[int],
-) -> None:
-    blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-    n_bytes = len(blob)
-    n_words = (n_bytes + 7) // 8
-    padded = blob + b"\0" * (n_words * 8 - n_bytes)
-    record = [
-        6 + n_words,
-        arrive,
-        src_region,
-        stage_seq,
-        _FALLBACK_KIND,
-        n_bytes,
-    ]
-    record.extend(
-        int.from_bytes(padded[i : i + 8], "little", signed=True)
-        for i in range(0, len(padded), 8)
-    )
-    out.extend(record)
+def check_encodable(msg: Message) -> None:
+    """Raise :class:`CodecError` unless the flat format can carry
+    ``msg`` (the same test :func:`encode_staged` applies)."""
+    _record(0, 0, 0, msg)
 
 
 def encode_staged(
@@ -179,17 +149,10 @@ def encode_staged(
     stage_seq: int,
     msg: Message,
     out: List[int],
-) -> bool:
-    """Append one record to ``out``; True when the flat (pickle-free)
-    format carried it, False when it needed the pickled fallback."""
-    mark = len(out)
-    try:
-        _encode_flat(arrive, src_region, stage_seq, msg, out)
-        return True
-    except CodecError:
-        del out[mark:]
-        _encode_fallback(arrive, src_region, stage_seq, msg, out)
-        return False
+) -> None:
+    """Append one record to ``out``; raises :class:`CodecError` (and
+    leaves ``out`` untouched) when ``msg`` does not fit the format."""
+    out.extend(_record(arrive, src_region, stage_seq, msg))
 
 
 def decode_records(
@@ -201,44 +164,27 @@ def decode_records(
     total = len(words)
     while pos < total:
         length = words[pos]
-        if length < 6 or pos + length > total:
+        if length < _FIXED_WORDS or pos + length > total:
             raise CodecError(
                 f"corrupt record at word {pos}: length {length} of "
-                f"{total - pos} available"
+                f"{total - pos} available (header is {_FIXED_WORDS})"
             )
-        arrive = words[pos + 1]
-        src_region = words[pos + 2]
-        stage_seq = words[pos + 3]
-        kind_idx = words[pos + 4]
-        if kind_idx == _FALLBACK_KIND:
-            n_bytes = words[pos + 5]
-            payload = words[pos + 6 : pos + length]
-            if not 0 <= n_bytes <= len(payload) * 8:
-                raise CodecError(
-                    f"corrupt fallback record at word {pos}: "
-                    f"{n_bytes} bytes in {len(payload)} words"
-                )
-            blob = b"".join(
-                w.to_bytes(8, "little", signed=True) for w in payload
-            )[:n_bytes]
-            msg = pickle.loads(blob)
-        else:
-            msg = _decode_flat(words, pos, length, kind_idx)
-        staged.append((arrive, src_region, stage_seq, msg))
+        staged.append(
+            (
+                words[pos + 1],
+                words[pos + 2],
+                words[pos + 3],
+                _decode_flat(words, pos, length),
+            )
+        )
         pos += length
     return staged
 
 
-def _decode_flat(
-    words: Sequence[int], pos: int, length: int, kind_idx: int
-) -> Message:
+def _decode_flat(words: Sequence[int], pos: int, length: int) -> Message:
     from repro.memory.address import PhysAddr
 
-    if length < _FIXED_WORDS:
-        raise CodecError(
-            f"corrupt flat record at word {pos}: length {length} below "
-            f"the {_FIXED_WORDS}-word header"
-        )
+    kind_idx = words[pos + 4]
     if not 0 <= kind_idx < len(KINDS_BY_IDX):
         raise CodecError(f"unknown message kind index {kind_idx}")
     n_words = words[pos + 19]

@@ -35,12 +35,13 @@ model**, parameterized by ``(regions, window)``:
   clock, message ids) to the plain serial :class:`PlusMachine` — there
   are no cross-region messages, region 0's fabric numbering and rng
   streams are the plain machine's.
-* For any region count, the **parallel** execution (one worker process
-  per region over :class:`~repro.parallel.executor.WorkerPool`) is
-  bit-identical to the **serial in-process** execution of the same
-  partitioned model: both drive identical :class:`RegionState` objects
-  through identical window steps; only the transport differs.  That is
-  the equivalence the test suite checks exhaustively.
+* For any region count, the **parallel** execution (one persistent
+  worker process per region, boundary messages codec-packed through
+  shared-memory rings) is bit-identical to the **serial in-process**
+  execution of the same partitioned model: both drive identical
+  :class:`RegionState` objects through identical window steps; only
+  the transport differs.  That is the equivalence the test suite checks
+  exhaustively.
 * ``regions>1`` is *not* bit-identical to the unpartitioned machine:
   the plain fabric resolves link contention globally at send time
   (a zero-latency coupling between all nodes), while the partitioned
@@ -63,7 +64,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import importlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -80,7 +80,12 @@ from repro.errors import (
 from repro.machine import PlusMachine
 from repro.network.fabric import Fabric, FabricStats
 from repro.network.message import Message
-from repro.parallel.codec import CODEC_VERSION, decode_records, encode_staged
+from repro.parallel.codec import (
+    CODEC_VERSION,
+    check_encodable,
+    decode_records,
+    encode_staged,
+)
 from repro.runtime.shm import BoundaryRing, _shared_memory
 from repro.sim.engine import Engine
 from repro.stats.counters import MachineCounters
@@ -97,15 +102,10 @@ __all__ = [
     "effective_regions",
     "lookahead_bound",
     "default_window",
-    "adaptive_widen_cap",
     "run_space",
     "memory_checksum",
     "trace_checksum",
 ]
-
-#: Transport names accepted by :func:`run_space`.
-TRANSPORTS = ("memory", "pickle", "shm")
-
 
 # ----------------------------------------------------------------------
 # Partitioning.
@@ -136,21 +136,11 @@ def lookahead_bound(params: TimingParams) -> int:
 
 
 def default_window(params: TimingParams) -> int:
-    """``W = net_hop_cycles * min_cross_region_hops`` (= 4 on the
-    paper's timing): the issue's conservative window, comfortably under
-    :func:`lookahead_bound`."""
-    return params.net_hop_cycles
-
-
-def adaptive_widen_cap(params: TimingParams, window: int) -> int:
-    """Largest window multiple the adaptive driver may take at once.
-
-    The widened barrier is ``align(t0) + K*W`` with ``align(t0) <= t0``,
-    so every message sent during the widened window (send >= ``t0``,
-    arrive >= send + bound) still arrives at or after the barrier as
-    long as ``K*W <= bound``.  ``K`` therefore caps at
-    ``bound // W`` (= 3 for the paper's ``bound=12, W=4``)."""
-    return max(1, lookahead_bound(params) // window)
+    """The widest safe window: :func:`lookahead_bound` itself (= 12 on
+    the paper's timing).  Window placement never shows in the output
+    (see ``RegionState.inject_entries``), so the widest window is simply
+    the one with the fewest barriers."""
+    return lookahead_bound(params)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +155,9 @@ class SpaceFabric(Fabric):
     but instead of scheduling a delivery it appends
     ``(arrival, staging_seq, message)`` to the destination region's
     staging queue, which the window driver flushes at the next barrier.
+    A message the boundary codec cannot carry raises
+    :class:`~repro.errors.CodecError` here, at its send cycle,
+    whichever driver runs the region.
     """
 
     def __init__(
@@ -256,6 +249,7 @@ class SpaceFabric(Fabric):
         return primary
 
     def _stage(self, dst: int, arrive: int, msg: Message) -> None:
+        check_encodable(msg)
         seq = self._stage_seq
         self._stage_seq = seq + 1
         dst_region = self._region_of[dst]
@@ -518,19 +512,17 @@ class StepOutcome:
     #: Engine.last_live after the step (global clock = max over regions).
     last_live: int
     #: Cross-region messages staged during the window, per dst region.
-    #: Empty in shm-transport mode, where staged records travel through
+    #: Empty from worker processes, whose staged records travel through
     #: the boundary rings instead of the driver.
     staged: Dict[int, List[Staged]]
     #: ``(exc type name, rendered text, cycle)`` if the window raised.
-    #: The shm transport reports a ``("", "", cycle)`` placeholder during
+    #: Worker processes report a ``("", "", cycle)`` placeholder during
     #: the run (error text ships once, with the harvest).
     error: Optional[Tuple[str, str, int]] = None
     #: Earliest arrival among messages staged this step, -1 if none.
     #: In-flight messages the destination has not drained yet are
     #: represented in the driver's barrier arithmetic by this value.
     staged_min: int = -1
-    #: Messages staged this step (drives the adaptive-window reset).
-    staged_count: int = 0
 
 
 @dataclass
@@ -571,8 +563,8 @@ class RegionState:
 
     Both execution modes drive this exact object through the same
     ``step``/``finish`` calls; the serial driver holds ``regions`` of
-    them in-process, the parallel driver pins each to its own
-    single-worker pool.  Equivalence between the modes is therefore
+    them in-process, the parallel driver builds each inside its own
+    region server process.  Equivalence between the modes is therefore
     structural: same code, same state, same inputs per step.
     """
 
@@ -629,7 +621,6 @@ class RegionState:
         region = self.region
         staged: Dict[int, List[Staged]] = {}
         staged_min = -1
-        staged_count = 0
         for dst, entries in self.fabric.collect_staged().items():
             staged[dst] = [
                 (arrive, region, seq, msg) for (arrive, seq, msg) in entries
@@ -637,7 +628,6 @@ class RegionState:
             for arrive, _seq, _msg in entries:
                 if staged_min < 0 or arrive < staged_min:
                     staged_min = arrive
-            staged_count += len(entries)
         return StepOutcome(
             region=region,
             next_time=engine._next_time() if error is None else None,
@@ -646,7 +636,6 @@ class RegionState:
             staged=staged,
             error=error,
             staged_min=staged_min,
-            staged_count=staged_count,
         )
 
     def finish(self, elapsed: int) -> RegionHarvest:
@@ -721,13 +710,7 @@ _STAGED_KEY = itemgetter(0, 1, 2)
 
 
 def _fresh_transport_stats() -> Dict[str, int]:
-    return {
-        "bytes": 0,
-        "messages": 0,
-        "pickle_bypassed": 0,
-        "fallback": 0,
-        "spill_rounds": 0,
-    }
+    return {"bytes": 0, "messages": 0, "spill_rounds": 0}
 
 
 class _SerialRunners:
@@ -736,12 +719,10 @@ class _SerialRunners:
     the point, and what the property tests assert).  ``transport``
     selects how staged messages move between the in-process regions:
 
-    * ``"memory"`` — handed over as live objects (the fast serial path);
-    * ``"pickle"`` — every inject list and outcome round-trips through
-      pickle, mimicking the legacy parallel mode's process boundary;
+    * ``"memory"`` — handed over as live objects (the reference);
     * ``"shm"`` — staged entries are codec-packed through real
       :class:`~repro.runtime.shm.BoundaryRing` segments, exercising the
-      exact bytes the parallel shm transport moves, in one process.
+      exact bytes the region server processes move, in one process.
     """
 
     def __init__(
@@ -789,11 +770,7 @@ class _SerialRunners:
                     if words:
                         inject.extend(decode_records(words))
             inject.sort(key=_STAGED_KEY)
-            if self._transport == "pickle":
-                inject = pickle.loads(pickle.dumps(inject))
             outcome = self.states[r].step(barrier, inject, max_events)
-            if self._transport == "pickle":
-                outcome = pickle.loads(pickle.dumps(outcome))
             self._route(r, outcome)
             outcomes[r] = outcome
         return outcomes  # type: ignore[return-value]
@@ -806,10 +783,7 @@ class _SerialRunners:
             if self._transport == "shm":
                 words: List[int] = []
                 for arrive, src_region, seq, msg in entries:
-                    if encode_staged(arrive, src_region, seq, msg, words):
-                        stats["pickle_bypassed"] += 1
-                    else:
-                        stats["fallback"] += 1
+                    encode_staged(arrive, src_region, seq, msg, words)
                 stats["bytes"] += 8 * len(words)
                 ring = self._rings[(region, dst)]
                 if not ring.push(words):
@@ -824,10 +798,6 @@ class _SerialRunners:
                     if not ring.push(words):
                         bucket.extend(decode_records(words))
             else:
-                if self._transport == "pickle":
-                    stats["bytes"] += len(
-                        pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
-                    )
                 self._inject.setdefault(dst, []).extend(entries)
 
     def error_detail(self, region: int) -> Optional[Tuple[str, str]]:
@@ -859,7 +829,7 @@ def _ring_words_for(params: TimingParams) -> int:
     return max(_RING_WORDS, 64 * (params.page_words + 64))
 
 #: Control-block slots per region (int64 words).
-_CTL_SLOTS = 16
+_CTL_SLOTS = 14
 _S_CMD_SEQ = 0     # driver: bumped last, after the args below
 _S_CMD = 1         # driver: one of the _CMD_* codes
 _S_ARG0 = 2        # driver: barrier (STEP) / elapsed (FINISH)
@@ -869,13 +839,11 @@ _S_NEXT = 5        # worker: next pending event time, -1 for none
 _S_FIRED = 6       # worker: events fired this step (prepare: regions)
 _S_LAST_LIVE = 7   # worker: engine.last_live (prepare: window)
 _S_STAGED_MIN = 8  # worker: earliest arrival staged this step, -1
-_S_STAGED_COUNT = 9
-_S_ERR = 10        # worker: 1 when the step captured a PlusError
-_S_ERR_CYCLE = 11  # worker: the captured error's cycle
-_S_SPILL = 12      # worker: encoded words awaiting ring space
-_S_WORDS = 13      # worker: cumulative words pushed through rings
-_S_MSGS = 14       # worker: cumulative messages carried flat
-_S_FALLBACK = 15   # worker: cumulative messages carried as fallback
+_S_ERR = 9         # worker: 1 when the step captured a PlusError
+_S_ERR_CYCLE = 10  # worker: the captured error's cycle
+_S_SPILL = 11      # worker: encoded words awaiting ring space
+_S_WORDS = 12      # worker: cumulative words pushed through rings
+_S_MSGS = 13       # worker: cumulative messages encoded
 
 _CMD_STEP = 1
 _CMD_DRAIN_IN = 2   # consumers: drain + inject every incoming ring
@@ -906,7 +874,7 @@ class _ControlBlock:
         if _shared_memory is None:  # pragma: no cover
             raise ConfigError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the pickle transport"
+                "platform; run the serial space driver (jobs=1)"
             )
         shm = _shared_memory.SharedMemory(
             create=True, size=8 * _CTL_SLOTS * regions
@@ -1046,7 +1014,7 @@ def _worker_serve(
         last_seq = 1
         spill: Dict[int, List[List[int]]] = {}
         error_detail: Optional[Tuple[str, str, int]] = None
-        total_words = total_flat = total_fallback = 0
+        total_words = total_msgs = 0
 
         def drain_inject() -> None:
             entries: List[Staged] = []
@@ -1077,10 +1045,8 @@ def _worker_serve(
                 for dst, entries in outcome.staged.items():
                     words: List[int] = []
                     for arrive, src_region, sseq, msg in entries:
-                        if encode_staged(arrive, src_region, sseq, msg, words):
-                            total_flat += 1
-                        else:
-                            total_fallback += 1
+                        encode_staged(arrive, src_region, sseq, msg, words)
+                    total_msgs += len(entries)
                     if out_rings[dst].push(words):
                         total_words += len(words)
                     else:
@@ -1092,7 +1058,6 @@ def _worker_serve(
                 ctl.put(region, _S_FIRED, outcome.fired)
                 ctl.put(region, _S_LAST_LIVE, outcome.last_live)
                 ctl.put(region, _S_STAGED_MIN, outcome.staged_min)
-                ctl.put(region, _S_STAGED_COUNT, outcome.staged_count)
                 if outcome.error is not None:
                     ctl.put(region, _S_ERR, 1)
                     ctl.put(region, _S_ERR_CYCLE, outcome.error[2])
@@ -1122,8 +1087,7 @@ def _worker_serve(
                 sum(len(rec) for recs in spill.values() for rec in recs),
             )
             ctl.put(region, _S_WORDS, total_words)
-            ctl.put(region, _S_MSGS, total_flat)
-            ctl.put(region, _S_FALLBACK, total_fallback)
+            ctl.put(region, _S_MSGS, total_msgs)
             ctl.put(region, _S_ACK, seq)
             last_seq = seq
     finally:
@@ -1333,7 +1297,6 @@ class _ShmRunners:
                     staged={},
                     error=error,
                     staged_min=ctl.get(r, _S_STAGED_MIN),
-                    staged_count=ctl.get(r, _S_STAGED_COUNT),
                 )
             )
         return outcomes
@@ -1343,9 +1306,7 @@ class _ShmRunners:
         stats = self.stats
         for r in range(self.regions):
             stats["bytes"] += 8 * ctl.get(r, _S_WORDS)
-            stats["pickle_bypassed"] += ctl.get(r, _S_MSGS)
-            stats["fallback"] += ctl.get(r, _S_FALLBACK)
-        stats["messages"] = stats["pickle_bypassed"] + stats["fallback"]
+            stats["messages"] += ctl.get(r, _S_MSGS)
         seq = self._issue(_CMD_FINISH, elapsed)
         self._wait_acks(seq, finishing=True)
         harvests = []
@@ -1393,135 +1354,6 @@ class _ShmRunners:
             self._release_shm()
 
 
-class _PoolRunners:
-    """One single-worker :class:`WorkerPool` per region (the legacy
-    pickle transport's parallel mode).
-
-    A pool of one pins the region to its worker process (region state
-    lives in that process between windows), but every window still
-    ships its inject lists and outcomes through the pool's pickling
-    task queues — the cost :class:`_ShmRunners` exists to remove.  Kept
-    as the transport-identity reference for the shm path and as the
-    fallback where POSIX shared memory is unavailable.
-    """
-
-    def __init__(self, spec: SpaceSpec, regions: int, mp_context=None) -> None:
-        from repro.parallel.executor import WorkerPool
-        from repro.parallel.tasks import SweepTask
-
-        self._SweepTask = SweepTask
-        self.spec = spec
-        self.pools = [
-            WorkerPool(1, mp_context=mp_context) for _ in range(regions)
-        ]
-        self._inject: Dict[int, List[Staged]] = {}
-        self.stats = _fresh_transport_stats()
-
-    def _call(self, region: int, fn: str, kwargs: Dict[str, Any]):
-        task = self._SweepTask.make(
-            region,
-            f"repro.parallel.spacetime:{fn}",
-            kwargs,
-            label=f"{self.spec.label}:r{region}:{fn}",
-        )
-        return self.pools[region].submit(task)
-
-    @staticmethod
-    def _value(result):
-        if not result.ok:
-            raise SimulationError(
-                f"space region worker failed ({result.label}): "
-                f"{result.error}"
-            )
-        return result.value
-
-    def prepare_all(self) -> List[Dict[str, Any]]:
-        futures = [
-            self._call(r, "_worker_prepare", {"spec": self.spec, "region": r})
-            for r in range(len(self.pools))
-        ]
-        return [self._value(f.result()) for f in futures]
-
-    def step_all(self, barrier: int, max_events: int) -> List[StepOutcome]:
-        stats = self.stats
-        futures = []
-        for r in range(len(self.pools)):
-            inject = self._inject.pop(r, [])
-            inject.sort(key=_STAGED_KEY)
-            if inject:
-                stats["bytes"] += len(
-                    pickle.dumps(inject, pickle.HIGHEST_PROTOCOL)
-                )
-            futures.append(
-                self._call(
-                    r,
-                    "_worker_step",
-                    {
-                        "region": r,
-                        "barrier": barrier,
-                        "inject": inject,
-                        "max_events": max_events,
-                    },
-                )
-            )
-        outcomes = [self._value(f.result()) for f in futures]
-        for outcome in outcomes:
-            for dst, entries in outcome.staged.items():
-                stats["messages"] += len(entries)
-                self._inject.setdefault(dst, []).extend(entries)
-        return outcomes
-
-    def error_detail(self, region: int) -> Optional[Tuple[str, str]]:
-        return None  # pool outcomes already carry the full error
-
-    def finish_all(self, elapsed: int) -> List[RegionHarvest]:
-        futures = [
-            self._call(r, "_worker_finish", {"region": r, "elapsed": elapsed})
-            for r in range(len(self.pools))
-        ]
-        return [self._value(f.result()) for f in futures]
-
-    def close(self) -> None:
-        for pool in self.pools:
-            pool.shutdown(cancel_pending=True)
-
-
-#: Worker-process registry: region -> live RegionState.  One pool worker
-#: serves exactly one region of one run (pools are per-run and a pool
-#: has one worker), so the region index is a sufficient key; a respawned
-#: worker after a crash has an empty registry, which `_worker_step`
-#: reports as a fatal (deterministic) error instead of silently
-#: rebuilding mid-run state.
-_WORKER_REGIONS: Dict[int, RegionState] = {}
-
-
-def _worker_prepare(*, spec: SpaceSpec, region: int) -> Dict[str, Any]:
-    state = RegionState(spec, region)
-    _WORKER_REGIONS[region] = state
-    return state.initial()
-
-
-def _worker_step(
-    *, region: int, barrier: int, inject: List[Staged], max_events: int
-) -> StepOutcome:
-    state = _WORKER_REGIONS.get(region)
-    if state is None:
-        raise SimulationError(
-            f"space region {region} lost its worker state (worker "
-            "restarted mid-run?)"
-        )
-    return state.step(barrier, inject, max_events)
-
-
-def _worker_finish(*, region: int, elapsed: int) -> RegionHarvest:
-    state = _WORKER_REGIONS.pop(region, None)
-    if state is None:
-        raise SimulationError(
-            f"space region {region} lost its worker state before harvest"
-        )
-    return state.finish(elapsed)
-
-
 # ----------------------------------------------------------------------
 # The window driver.
 # ----------------------------------------------------------------------
@@ -1541,9 +1373,8 @@ class SpaceRun:
     #: would raise), or None for a clean drain.
     error: Optional[PlusError] = None
     error_region: int = -1
-    #: Transport/driver metrics: mode, adaptive flag, barrier count and
-    #: wall-clock spent inside barriers, bytes and messages moved, how
-    #: many messages bypassed pickle, codec fallbacks, spill rounds.
+    #: Driver metrics: barrier count and wall-clock spent inside
+    #: barriers, codec bytes and staged messages moved, spill rounds.
     #: Never part of :func:`run_checksums` — wall time is not output.
     transport: Dict[str, Any] = field(default_factory=dict)
 
@@ -1687,9 +1518,7 @@ def run_space(
     jobs: int = 1,
     *,
     step_order: Optional[Sequence[int]] = None,
-    pickle_transport: bool = False,
-    transport: Optional[str] = None,
-    adaptive: bool = True,
+    transport: str = "memory",
     mp_context=None,
     fleet: Optional[SpaceFleet] = None,
 ) -> SpaceRun:
@@ -1697,54 +1526,33 @@ def run_space(
 
     ``jobs <= 1`` executes every region in this process (the serial
     reference); ``jobs >= 2`` pins each region to its own persistent
-    worker process.  All modes run the identical window protocol over
-    identical :class:`RegionState` objects, so their outputs are
-    byte-identical — the space test suite's central claim.
+    worker process, exchanging staged messages as codec records through
+    shared-memory boundary rings.  Both run the identical window
+    protocol over identical :class:`RegionState` objects, so their
+    outputs are byte-identical — the space test suite's central claim.
+    Every window is :attr:`SpaceMachine.window` cycles wide.
 
-    ``transport`` selects how staged cross-region messages move:
-    ``"shm"`` (codec-packed through shared-memory boundary rings — the
-    parallel default and zero-pickle path), ``"pickle"`` (the legacy
-    queue transport), or ``"memory"`` (live objects; in-process only).
-    ``pickle_transport=True`` is the legacy spelling of
-    ``transport="pickle"``.
-
-    ``adaptive=True`` lets the driver widen a window up to
-    :func:`adaptive_widen_cap` multiples after a barrier that staged no
-    cross-region messages, collapsing consecutive quiet barriers into
-    one.  The widening decision is a deterministic function of the
-    previous barrier's staged counts — identical in every mode — and
-    the cap keeps every widened window inside the lookahead bound, so
-    adaptive and fixed windows produce byte-identical output (the
-    engine's front lane gives an injected message the same same-cycle
-    rank regardless of which barrier carried it).
+    ``step_order`` and ``transport`` apply to the serial driver only:
+    ``step_order`` permutes the order regions step in, and
+    ``transport="shm"`` moves staged messages through real boundary
+    rings as codec bytes instead of handing over live objects
+    (``"memory"``), so one process reproduces exactly what the worker
+    processes exchange (they always use the rings).
 
     ``fleet`` lends a persistent :class:`SpaceFleet` whose warm worker
     processes survive this run (``repro serve``); by default the run
     spins up and retires its own workers.
     """
+    if transport not in ("memory", "shm"):
+        raise ConfigError(
+            f"unknown in-process space transport {transport!r} "
+            "(choose memory or shm)"
+        )
     probe = spec.build(0)
     regions = probe.regions
     window = probe.window
-    params = probe.params
+    ring_words = _ring_words_for(probe.params)
     del probe
-
-    if transport is None:
-        if pickle_transport:
-            transport = "pickle"
-        elif jobs <= 1 or regions == 1:
-            transport = "memory"
-        else:
-            transport = "shm" if _shared_memory is not None else "pickle"
-    elif pickle_transport and transport != "pickle":
-        raise ConfigError(
-            f"pickle_transport=True conflicts with transport={transport!r}"
-        )
-    if transport not in TRANSPORTS:
-        raise ConfigError(
-            f"unknown space transport {transport!r} (choose from "
-            f"{'/'.join(TRANSPORTS)})"
-        )
-    ring_words = _ring_words_for(params)
 
     if jobs <= 1 or regions == 1:
         runners = _SerialRunners(
@@ -1757,28 +1565,14 @@ def run_space(
     else:
         if step_order is not None:
             raise ConfigError("step_order is a serial-mode test knob")
-        if transport == "memory":
-            raise ConfigError(
-                "the memory transport hands over live objects and is "
-                "in-process only; use transport='shm' or 'pickle' with "
-                "jobs > 1"
-            )
-        if transport == "shm":
-            runners = _ShmRunners(
-                spec,
-                regions,
-                mp_context=mp_context,
-                fleet=fleet,
-                ring_words=ring_words,
-            )
-        else:
-            runners = _PoolRunners(spec, regions, mp_context=mp_context)
+        runners = _ShmRunners(
+            spec,
+            regions,
+            mp_context=mp_context,
+            fleet=fleet,
+            ring_words=ring_words,
+        )
 
-    widen_cap = (
-        adaptive_widen_cap(params, window)
-        if adaptive and regions > 1
-        else 1
-    )
     run = SpaceRun(spec=spec, regions=regions, window=window)
     try:
         prep = runners.prepare_all()
@@ -1803,7 +1597,6 @@ def run_space(
         clock = 0
         error: Optional[Tuple[int, str, str, int]] = None
         hit_horizon = False
-        widen = 1
         barriers = 0
         barrier_wall = 0.0
         while True:
@@ -1817,29 +1610,21 @@ def run_space(
                 break
             # Windows are aligned at multiples of W; skip straight to
             # the window holding the globally-earliest pending event
-            # (empty windows would otherwise cost a barrier each), then
-            # take ``widen`` windows at once when the previous barrier
-            # proved the regions are not currently talking.
-            barrier = (t0 // window) * window + widen * window
+            # (empty windows would otherwise cost a barrier each).
+            barrier = (t0 // window + 1) * window
             if max_cycles is not None:
                 barrier = min(barrier, max_cycles + 1)
             wall0 = time.perf_counter()
             outcomes = runners.step_all(barrier, remaining)
             barrier_wall += time.perf_counter() - wall0
             barriers += 1
-            staged_any = False
             staged_mins = []
             for outcome in outcomes:
                 next_times[outcome.region] = outcome.next_time
                 if outcome.last_live > clock:
                     clock = outcome.last_live
                 remaining -= outcome.fired
-                if outcome.staged_count:
-                    staged_any = True
                 staged_mins.append(outcome.staged_min)
-            # Deterministic across modes: staged counts are computed by
-            # the regions themselves, identically under every transport.
-            widen = 1 if staged_any else min(widen * 2, widen_cap)
             failed = [o for o in outcomes if o.error is not None]
             if failed:
                 worst = min(failed, key=lambda o: o.region)
@@ -1855,8 +1640,6 @@ def run_space(
         run.harvests = runners.finish_all(clock)
         run.harvests.sort(key=lambda h: h.region)
         run.transport = {
-            "mode": transport,
-            "adaptive": widen_cap > 1,
             "barriers": barriers,
             "barrier_wall_s": barrier_wall,
             **runners.stats,

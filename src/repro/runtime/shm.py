@@ -203,7 +203,7 @@ class BoundaryRing:
         if _shared_memory is None:  # pragma: no cover
             raise ConfigError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the pickle transport"
+                "platform; run the serial space driver (jobs=1)"
             )
         if capacity_words < 8:
             raise ConfigError(
@@ -226,7 +226,7 @@ class BoundaryRing:
         if _shared_memory is None:  # pragma: no cover
             raise ConfigError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the pickle transport"
+                "platform; run the serial space driver (jobs=1)"
             )
         shm = _shared_memory.SharedMemory(name=name)
         ring = cls(shm, owner=False)

@@ -54,8 +54,6 @@ def space_point(
     faults: bool,
     regions: int,
     window: int,
-    transport: str,
-    adaptive: bool,
     jobs: int = 1,
     fleet=None,
 ) -> Dict[str, Any]:
@@ -63,12 +61,14 @@ def space_point(
 
     Dispatched to a pool worker (the default) this runs the in-process
     serial space driver — pool workers are daemonic and cannot spawn
-    region processes.  A daemon started with ``--space-jobs`` instead
-    calls it inline with its warm :class:`~repro.parallel.spacetime.SpaceFleet`
+    region processes — over real boundary rings (``transport="shm"``),
+    so it moves the same codec bytes the region processes would.  A
+    daemon started with ``--space-jobs`` instead calls it inline with
+    its warm :class:`~repro.parallel.spacetime.SpaceFleet`
     (``jobs >= 2``), reusing the same region worker processes across
     requests.  Both paths produce byte-identical payloads: every field
-    below is deterministic for a given (seed, faults, regions, window,
-    transport, adaptive) key, which is what makes the op cacheable.
+    below is deterministic for a given (seed, faults, regions, window)
+    key, which is what makes the op cacheable.
     """
     from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
 
@@ -85,9 +85,7 @@ def space_point(
         },
         label=f"serve space seed {seed}",
     )
-    run = run_space(
-        spec, jobs=jobs, transport=transport, adaptive=adaptive, fleet=fleet
-    )
+    run = run_space(spec, jobs=jobs, transport="shm", fleet=fleet)
     tr = run.transport
     return {
         "seed": seed,
@@ -99,12 +97,9 @@ def space_point(
         ),
         "cycles": run.clock,
         "regions": regions,
-        "transport": tr["mode"],
-        "adaptive": tr["adaptive"],
         "barriers": tr["barriers"],
         "messages": tr["messages"],
         "transport_bytes": tr["bytes"],
-        "pickle_bypassed": tr["pickle_bypassed"],
         "checksums": run_checksums(run),
     }
 

@@ -265,13 +265,6 @@ register_op(
             Param("faults", bool, default=False),
             Param("regions", int, default=2),
             Param("window", int, default=0),
-            # "memory" is excluded on purpose: it only exists in-process
-            # and would make the payload depend on where the daemon ran
-            # the request (fleet vs pool worker), breaking cacheability.
-            Param(
-                "transport", str, choices=("shm", "pickle"), default="shm"
-            ),
-            Param("adaptive", bool, default=True),
         ),
     )
 )

@@ -179,8 +179,8 @@ class Engine:
         #: to local scheduling.  The space-parallel driver relies on
         #: this: cross-region deliveries keep one canonical same-cycle
         #: position no matter which barrier carried them, which is what
-        #: makes window scheduling (fixed, adaptive, any ``W`` under the
-        #: lookahead bound) invisible in the output.  Empty on every
+        #: makes window scheduling (any ``W`` up to the lookahead bound)
+        #: invisible in the output.  Empty on every
         #: non-partitioned machine: the hot loop pays one falsy dict
         #: check per cycle.
         self._front: Dict[int, List[Tuple[Tuple[int, int], Callback]]] = {}

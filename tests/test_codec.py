@@ -4,18 +4,18 @@ Three layers, tested bottom-up:
 
 * the **codec** (``repro.parallel.codec``): every representable
   ``Message`` survives an encode/decode round trip bit-for-bit, in
-  order, and anything the flat format cannot carry rides the pickled
-  fallback record through the same ring;
+  order, and anything the flat format cannot carry is refused with
+  :class:`CodecError` — by the encoder, and by the space fabric at the
+  send cycle, under every driver;
 * the **ring** (``repro.runtime.shm.BoundaryRing``): wrap-around and
   overflow behave exactly as the all-or-nothing contract says;
 * the **front lane** (``Engine.inject``): injected events fire before
   same-cycle local events, in key order, without consuming sequence
   numbers — the property the whole transport's determinism rests on.
 
-Plus the versioned-contract pin (``MESSAGE_FIELDS`` vs the dataclass)
-and two serial identity checks (shm-vs-memory transport,
-adaptive-vs-fixed windows) that make every transport/policy cell
-transitively byte-equal.
+Plus the versioned-contract pin (``MESSAGE_FIELDS`` vs the dataclass),
+a serial identity check (windows 1, 4 and 12 and serial-shm against the
+memory reference) and the ring spill protocol under both shm drivers.
 """
 
 from __future__ import annotations
@@ -30,11 +30,18 @@ from repro.core.params import OpCode
 from repro.errors import ConfigError
 from repro.memory.address import PhysAddr
 from repro.network.message import KINDS_BY_IDX, MESSAGE_FIELDS, Message
+from repro.parallel import spacetime
 from repro.parallel.codec import (
     CODEC_VERSION,
     CodecError,
     decode_records,
     encode_staged,
+)
+from repro.parallel.spacetime import (
+    SpaceMachine,
+    SpaceSpec,
+    run_checksums,
+    run_space,
 )
 from repro.runtime.shm import BoundaryRing, _shared_memory
 from repro.sim.engine import Engine
@@ -90,11 +97,8 @@ def messages(draw) -> Message:
 )
 def test_codec_round_trips_any_batch(staged):
     out = []
-    flat = [
+    for arrive, src, seq, msg in staged:
         encode_staged(arrive, src, seq, msg, out)
-        for arrive, src, seq, msg in staged
-    ]
-    assert all(flat)  # every generated message fits the flat format
     decoded = decode_records(out)
     assert decoded == [tuple(entry) for entry in staged]
     for (_, _, _, msg), (_, _, _, back) in zip(staged, decoded):
@@ -110,36 +114,39 @@ def test_codec_keeps_negative_node_address():
     real = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, addr=PhysAddr(-1, 3, 4))
     none = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, chain_done=True)
     out = []
-    assert encode_staged(0, 0, 0, real, out)
-    assert encode_staged(0, 0, 1, none, out)
+    encode_staged(0, 0, 0, real, out)
+    encode_staged(0, 0, 1, none, out)
     (_, _, _, real_back), (_, _, _, none_back) = decode_records(out)
     assert real_back.addr == PhysAddr(-1, 3, 4)
     assert type(real_back.addr) is PhysAddr
     assert none_back.addr is None and none_back.chain_done is True
 
 
-def test_codec_falls_back_on_out_of_range_value():
+def test_codec_rejects_out_of_range_value():
     msg = Message(kind=KINDS_BY_IDX[0], src=0, dst=1, value=1 << 70)
     out = []
-    assert encode_staged(3, 0, 5, msg, out) is False
-    assert decode_records(out) == [(3, 0, 5, msg)]
+    with pytest.raises(CodecError, match="signed 64-bit"):
+        encode_staged(3, 0, 5, msg, out)
+    assert out == []
 
 
-def test_codec_falls_back_on_malformed_writes():
+def test_codec_rejects_malformed_writes():
     msg = Message(kind=KINDS_BY_IDX[3], src=0, dst=1, writes=[(1, 2, 3)])
     out = []
-    assert encode_staged(0, 1, 0, msg, out) is False
-    assert decode_records(out) == [(0, 1, 0, msg)]
+    with pytest.raises(CodecError, match="offset, value"):
+        encode_staged(0, 1, 0, msg, out)
+    assert out == []
 
 
-def test_codec_mixes_flat_and_fallback_in_order():
+def test_codec_rejection_leaves_the_batch_intact():
     good = Message(kind=KINDS_BY_IDX[1], src=2, dst=3, value=7)
     bad = Message(kind=KINDS_BY_IDX[1], src=2, dst=3, value=-(1 << 64))
     out = []
-    assert encode_staged(10, 0, 0, good, out) is True
-    assert encode_staged(11, 0, 1, bad, out) is False
-    assert encode_staged(12, 0, 2, good, out) is True
-    assert [entry[0] for entry in decode_records(out)] == [10, 11, 12]
+    encode_staged(10, 0, 0, good, out)
+    with pytest.raises(CodecError):
+        encode_staged(11, 0, 1, bad, out)
+    encode_staged(12, 0, 2, good, out)
+    assert [entry[0] for entry in decode_records(out)] == [10, 12]
 
 
 def test_codec_rejects_truncated_records():
@@ -157,7 +164,7 @@ def test_message_fields_pin_the_codec_contract():
     this pin fails until MESSAGE_FIELDS (and CODEC_VERSION) follow."""
     names = tuple(f.name for f in dataclasses.fields(Message))
     assert names == MESSAGE_FIELDS
-    assert CODEC_VERSION == 2
+    assert CODEC_VERSION == 3
 
 
 # ----------------------------------------------------------------------
@@ -258,36 +265,87 @@ def test_front_lane_rejects_past_injection():
 
 
 # ----------------------------------------------------------------------
-# Serial transport/policy identity (parallel cells are covered by
-# test_spacetime_properties / test_parallel; these keep the fast serial
-# modes honest so every cell stays transitively byte-equal).
+# Unencodable messages fail the same way under every driver.
+# ----------------------------------------------------------------------
+def build_wide_write(region: int = 0, *, value: int = 1 << 64):
+    """SpaceSpec builder: node 0 (region 0) writes ``value`` to a word
+    homed on itself and replicated on node 2 (region 1), so the update
+    crosses the region boundary."""
+    machine = SpaceMachine(n_nodes=4, width=2, height=2, regions=2)
+    seg = machine.shm.alloc(1, home=0, replicas=[2])
+
+    def writer(ctx):
+        yield from ctx.compute(30)
+        yield from ctx.write(seg.base, value)
+        yield from ctx.fence()
+
+    def reader(ctx):
+        for _ in range(20):
+            yield from ctx.compute(50)
+            yield from ctx.read(seg.base)
+
+    machine.spawn(0, writer)
+    machine.spawn(2, reader)
+    machine.set_active_region(region)
+    return machine
+
+
+@needs_shm
+def test_unencodable_message_fails_identically_under_every_driver():
+    spec = SpaceSpec.make(f"{__name__}:build_wide_write", label="wide")
+    base = run_checksums(run_space(spec, jobs=1))
+    assert base["error"].startswith("CodecError: ")
+    assert "18446744073709551616" in base["error"]
+    assert run_checksums(run_space(spec, jobs=1, transport="shm")) == base
+    assert run_checksums(run_space(spec, jobs=2)) == base
+    # The same program with a word that fits runs clean.
+    narrow = SpaceSpec.make(
+        f"{__name__}:build_wide_write", {"value": 5}, label="narrow"
+    )
+    assert run_checksums(run_space(narrow, jobs=2))["error"] is None
+
+
+# ----------------------------------------------------------------------
+# Serial window/transport identity (the worker-process driver is
+# covered by test_spacetime_properties / test_parallel).  Window
+# placement must be invisible in the output: this is what lets every
+# run take the widest window, the lookahead bound.
 # ----------------------------------------------------------------------
 @needs_shm
-def test_serial_shm_and_adaptive_match_memory_fixed():
-    from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
+def test_windows_and_serial_shm_match_the_memory_reference():
+    def checksums(window, **kwargs):
+        spec = SpaceSpec.make(
+            "repro.check.stress:build_space_stress",
+            {"seed": 9, "regions": 2, "faults": True, "window": window},
+            label="codec identity seed 9",
+        )
+        return run_checksums(run_space(spec, jobs=1, **kwargs))
 
+    base = checksums(0)
+    assert base["error"] is None
+    for window in (1, 4, 12):
+        assert checksums(window) == base, window
+    assert checksums(0, transport="shm") == base
+
+
+# ----------------------------------------------------------------------
+# The ring spill protocol: rings too small for one barrier's traffic.
+# ----------------------------------------------------------------------
+@needs_shm
+def test_small_rings_spill_and_stay_identical(monkeypatch):
     spec = SpaceSpec.make(
         "repro.check.stress:build_space_stress",
-        {"seed": 9, "regions": 2, "faults": True},
-        label="codec identity seed 9",
+        {"seed": 5, "regions": 2, "faults": True},
+        label="spill seed 5",
     )
-    base = run_checksums(run_space(spec, jobs=1, adaptive=False))
+    base = run_checksums(run_space(spec, jobs=1))
     assert base["error"] is None
-    for kwargs in (
-        {"transport": "shm", "adaptive": False},
-        {"transport": "pickle", "adaptive": False},
-        {"adaptive": True},
-        {"transport": "shm", "adaptive": True},
-    ):
-        assert run_checksums(run_space(spec, jobs=1, **kwargs)) == base, kwargs
-
-
-def test_adaptive_widen_cap_scales_with_lookahead():
-    from repro.core.params import PAPER_PARAMS
-    from repro.parallel.spacetime import adaptive_widen_cap, lookahead_bound
-
-    bound = lookahead_bound(PAPER_PARAMS)
-    assert adaptive_widen_cap(PAPER_PARAMS, bound) == 1
-    assert adaptive_widen_cap(PAPER_PARAMS, 1) == bound
-    cap = adaptive_widen_cap(PAPER_PARAMS, 7)
-    assert cap == max(1, bound // 7)
+    # Room for a few records per direction: a barrier that stages more
+    # must spill at the producer and drain in rounds.
+    monkeypatch.setattr(
+        spacetime, "_ring_words_for", lambda params: params.page_words + 96
+    )
+    for kwargs in ({"jobs": 1, "transport": "shm"}, {"jobs": 2}):
+        run = run_space(spec, **kwargs)
+        assert run.transport["spill_rounds"] > 0, kwargs
+        assert run_checksums(run) == base, kwargs

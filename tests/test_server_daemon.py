@@ -216,6 +216,33 @@ class TestErrorHandling:
         assert "bogus" in envelope["error"]["message"]
 
 
+class TestSpaceOp:
+    def test_pool_and_fleet_paths_return_byte_identical_payloads(self):
+        params = {"seed": 5, "faults": True}
+        with make_daemon(jobs=1) as daemon:
+            with ReproClient(port=daemon.port) as client:
+                pooled = client.request("space", params)
+        with make_daemon(jobs=1, space_jobs=2) as daemon:
+            with ReproClient(port=daemon.port) as client:
+                fleet = client.request("space", params)
+            assert daemon.stats.snapshot()["space_fleet_runs"] == 1
+        assert pooled["ok"] and fleet["ok"]
+        assert pooled["result"]["ok"] and pooled["result"]["messages"] > 0
+        assert canonical_result(pooled) == canonical_result(fleet)
+
+    def test_removed_space_params_are_bad_params(self):
+        with make_daemon(jobs=1) as daemon:
+            with ReproClient(port=daemon.port) as client:
+                for extra in ({"transport": "shm"}, {"adaptive": False}):
+                    bad = client.request("space", {"seed": 1, **extra})
+                    assert bad["error"]["code"] == "bad_params", extra
+                good = client.request("space", {"seed": 1})
+        assert good["ok"] and good["result"]["ok"]
+        assert not {"transport", "adaptive", "pickle_bypassed"} & set(
+            good["result"]
+        )
+
+
 class TestCrashRecovery:
     def test_crashed_worker_is_redispatched_once(self, test_ops, tmp_path):
         marker = str(tmp_path / "crashed-once")

@@ -8,9 +8,9 @@ no distributed execution can — but that every way of *executing* the
 partitioned model produces byte-identical results:
 
 * the serial in-process driver,
-* the serial driver with a permuted region step order,
-* the serial driver with every exchange forced through pickle
-  round-trips (the exact bytes the worker transport would move),
+* the serial driver with a permuted region step order, every exchange
+  codec-packed through real boundary rings (the exact bytes the worker
+  processes move),
 * one worker process per region (``run_space(spec, jobs=N)``).
 
 Plus the one exact reduction: a 1-region space machine IS the plain
@@ -54,11 +54,12 @@ def _spec(seed, regions, window=0, faults=False):
 
 def _alt_checksums(spec):
     """The same spec through the adversarial serial driver: regions
-    stepped in reverse order, every exchange pickled."""
+    stepped in reverse order, every exchange codec-packed through
+    boundary rings."""
     probe = spec.build(0)
     order = list(reversed(range(probe.space_regions)))
     return run_checksums(
-        run_space(spec, jobs=1, step_order=order, pickle_transport=True)
+        run_space(spec, jobs=1, step_order=order, transport="shm")
     )
 
 
