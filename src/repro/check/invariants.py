@@ -87,6 +87,12 @@ class InvariantMonitor(ProtocolTrace):
         self._down_nodes: Set[int] = set()
         #: Chain-duplicate reports waived under crash leniency.
         self.crash_waived = 0
+        #: Per-node handles the bound scan reads on every send:
+        #: ``(pending entries, pending capacity, free delayed slots,
+        #: delayed slots)``.  A crash replaces a node's caches, so the
+        #: crash hooks recapture them.
+        self._bounds: List[Tuple[dict, int, list, list]] = []
+        self._delayed_capacity = 0
 
     # ------------------------------------------------------------------
     def install(self, machine) -> "InvariantMonitor":
@@ -98,6 +104,7 @@ class InvariantMonitor(ProtocolTrace):
         """
         super().install(machine)
         self._machine = machine
+        self._capture_bounds()
         machine.invariant_monitor = self
         if self.fault_plan is None:
             self.fault_plan = machine.fabric.fault_plan
@@ -108,8 +115,22 @@ class InvariantMonitor(ProtocolTrace):
         if machine is not None and machine.invariant_monitor is self:
             machine.invariant_monitor = None
         self._machine = None
+        self._bounds = []
         super().uninstall()
         return self
+
+    def _capture_bounds(self) -> None:
+        machine = self._machine
+        self._delayed_capacity = machine.params.delayed_slots
+        self._bounds = [
+            (
+                node.cm.pending._addr_of,
+                node.cm.pending.capacity,
+                node.cm.delayed._free,
+                node.cm.delayed._slots,
+            )
+            for node in machine.nodes
+        ]
 
     # ------------------------------------------------------------------
     def _fail(
@@ -138,10 +159,12 @@ class InvariantMonitor(ProtocolTrace):
     def on_crash(self, node_id: int, cycle: int) -> None:
         self._down_nodes.add(node_id)
         self.crash_events.append((cycle, node_id, "crash"))
+        self._capture_bounds()
 
     def on_restart(self, node_id: int, cycle: int) -> None:
         self._down_nodes.discard(node_id)
         self.crash_events.append((cycle, node_id, "restart"))
+        self._capture_bounds()
 
     def _chain_fail(self, rule: str, detail: str, **kw) -> None:
         """Chain-exactly-once failure, waived once a crash happened.
@@ -267,9 +290,20 @@ class InvariantMonitor(ProtocolTrace):
         self._check_cache_bounds(time)
 
     def _check_cache_bounds(self, time: int) -> None:
+        """Both hardware caches of every node within capacity; the
+        violation text is built only once a bound is broken."""
+        delayed_capacity = self._delayed_capacity
+        for pending, capacity, free, slots in self._bounds:
+            if (
+                len(pending) > capacity
+                or len(slots) - len(free) > delayed_capacity
+            ):
+                self._report_bounds(time)
+                return
+
+    def _report_bounds(self, time: int) -> None:
         machine = self._machine
-        if machine is None:
-            return
+        slots = machine.params.delayed_slots
         for node in machine.nodes:
             cm = node.cm
             if len(cm.pending) > cm.pending.capacity:
@@ -281,7 +315,6 @@ class InvariantMonitor(ProtocolTrace):
                     cycle=time,
                     node=node.node_id,
                 )
-            slots = machine.params.delayed_slots
             if cm.delayed.in_flight > slots:
                 self._fail(
                     "delayed-bound",

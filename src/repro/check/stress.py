@@ -47,6 +47,7 @@ from repro.errors import ConfigError, PlusError
 from repro.machine import PlusMachine
 from repro.network.faults import FaultPlan
 from repro.network.router import LinkModel
+from repro.network.topology import Topology
 
 #: Delayed operations issued against plain data words (QUEUE/DEQUEUE are
 #: issued through their queue handle, completing the set of eight).
@@ -76,30 +77,19 @@ class JitteredLinkModel(LinkModel):
 
     def __init__(
         self, params: TimingParams, rng: random.Random, amplitude: int,
-        topology=None,
+        topology: Topology,
     ) -> None:
         super().__init__(params, topology)
         self.rng = rng
         self.amplitude = amplitude
 
-    def _jitter(self, arrive: int) -> int:
+    def traverse_steps(self, src, steps, depart, size_bytes, not_before=0):
+        arrive = super().traverse_steps(
+            src, steps, depart, size_bytes, not_before
+        )
         if self.amplitude:
             arrive += self.rng.randrange(self.amplitude + 1)
         return arrive
-
-    def traverse_states(self, states, depart, size_bytes, not_before=0):
-        # The faulty-send path resolves an explicit link path and lands
-        # here (via ``traverse``).
-        return self._jitter(
-            super().traverse_states(states, depart, size_bytes, not_before)
-        )
-
-    def traverse_steps(self, src, steps, depart, size_bytes, not_before=0):
-        # The lossless fast path walks a step plan without touching
-        # ``traverse_states``; cover it separately.
-        return self._jitter(
-            super().traverse_steps(src, steps, depart, size_bytes, not_before)
-        )
 
 
 def inject_skip_last_hop(machine: PlusMachine) -> None:

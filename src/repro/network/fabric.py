@@ -41,11 +41,11 @@ Receiver = Callable[[Message], None]
 class FabricStats:
     """Machine-wide network traffic counters.
 
-    :meth:`record` is the single implementation of per-send accounting;
-    ``Fabric.send`` routes every path (lossless, faulty, retransmitted)
-    through it so the counters cannot drift from the send logic.  Sends
-    the fault plan swallows still count as wire traffic (the sender paid
-    for them); the fault counters then say what the wire did on top:
+    Every send attempt is counted inline by the fabric's send paths
+    (lossless, faulty, staged across a region boundary); a retransmission
+    counts like any other send.  Sends the fault plan swallows still
+    count as wire traffic (the sender paid for them); the fault counters
+    then say what the wire did on top:
 
     * ``drops`` — messages lost (random drops, outages, blackholes).
     * ``dups`` — extra deliveries the wire created.
@@ -81,17 +81,6 @@ class FabricStats:
         """Message count per kind (built on access from the dense counts)."""
         counts = self._kind_counts
         return {k: counts[k.idx] for k in MsgKind}
-
-    def record(self, msg: Message, hops: int, size: Optional[int] = None) -> None:
-        """Account one send attempt (the only traffic-counting path).
-
-        ``size`` lets a caller that already computed ``msg.size_bytes``
-        avoid recomputing it; semantics are identical either way.
-        """
-        self._kind_counts[msg.kind.idx] += 1
-        self.total_messages += 1
-        self.total_hops += hops
-        self.total_bytes += size if size is not None else msg.size_bytes
 
     @property
     def mean_hops(self) -> float:
@@ -243,6 +232,7 @@ class Fabric:
             raise ConfigError(
                 "cannot install a fault plan after traffic has flowed"
             )
+        plan.bind(self.mesh)
         self.fault_plan = plan
         self._refresh_pooling()
         return plan
@@ -272,7 +262,7 @@ class Fabric:
             self._next_msg_id += self._msg_id_step
 
         if self.fault_plan is not None:
-            return self._send_faulty(msg, receiver, src, dst, floor_key)
+            return self._send_routed(msg, receiver, src, dst, floor_key)
 
         engine = self.engine
         now = engine._now
@@ -305,7 +295,6 @@ class Fabric:
         if self._trace is not None:
             self._trace.record(now, msg, arrive)
 
-        # ``FabricStats.record`` inlined.
         stats = self.stats
         stats._kind_counts[kind.idx] += 1
         stats.total_messages += 1
@@ -328,36 +317,47 @@ class Fabric:
             engine.at(arrive, delivery)
         return arrive
 
-    def _send_faulty(
+    def _send_routed(
         self,
         msg: Message,
-        receiver: Receiver,
+        receiver: Optional[Receiver],
         src: int,
         dst: int,
         floor_key: int,
     ) -> int:
-        """The fault-plan send path: consult the plan, then deliver 0, 1
-        or 2 copies.  Per-delivery jitter lands *outside* the FIFO floor,
-        so same-pair messages can reorder within the jitter bound — the
-        sequence numbers of the reliable sublayer put them back in order.
+        """The send body every path but the lossless fast path shares:
+        faulty sends, and the space-parallel fabric's cross-region sends.
+        Route, account, consult the plan (if any), then deliver 0, 1 or
+        2 copies through :meth:`_deliver`.  Per-delivery jitter lands
+        *outside* the FIFO floor, so same-pair messages can reorder
+        within the jitter bound — the sequence numbers of the reliable
+        sublayer put them back in order.
 
-        The explicit link list is materialized per send (the plan's
-        outage schedules are keyed by link tuple); this path is off
-        whenever the mesh is lossless, so it never taxes the fast path.
+        The route is walked arithmetically, exactly as on the fast path:
+        the plan judges outages by link id along the step plan, and only
+        a delivered message occupies links.
         """
         now = self.engine._now
+        size = msg.size_bytes
+        steps = self.mesh.route_steps(src, dst)
         stats = self.stats
-        path = self.mesh.route(src, dst)
-        stats.record(msg, len(path))
-        fate, delays = self.fault_plan.judge(msg, now, path)
+        stats._kind_counts[msg.kind.idx] += 1
+        stats.total_messages += 1
+        stats.total_hops += steps[0] + steps[2]
+        stats.total_bytes += size
+        plan = self.fault_plan
+        if plan is None:
+            fate, delays = "sent", (0,)
+        else:
+            fate, delays = plan.judge(msg, now, src, steps)
         if not delays:
             stats.drops += 1
             if self._trace is not None:
                 self._trace.record(now, msg, -1, fate=fate)
             return -1
         floors = self._floors
-        arrive = self.links.traverse(
-            path, now, msg.size_bytes, not_before=floors.get(floor_key, 0)
+        arrive = self.links.traverse_steps(
+            src, steps, now, size, not_before=floors.get(floor_key, 0)
         )
         floors[floor_key] = arrive + 1
         primary = arrive + delays[0]
@@ -365,17 +365,23 @@ class Fabric:
             stats.dups += 1
         if self._trace is not None:
             self._trace.record(now, msg, primary, fate=fate)
-        engine_at = self.engine.at
-        pool = self._delivery_pool
         for delay in delays:
-            if pool:
-                delivery = pool.pop()
-                delivery.receiver = receiver
-                delivery.msg = msg
-            else:
-                delivery = _Delivery(receiver, msg, pool)
-            engine_at(arrive + delay, delivery)
+            self._deliver(receiver, dst, arrive + delay, msg)
         return primary
+
+    def _deliver(
+        self, receiver: Optional[Receiver], dst: int, arrive: int, msg: Message
+    ) -> None:
+        """Schedule one delivery copy of a routed send (the space-parallel
+        fabric stages cross-region copies here instead)."""
+        pool = self._delivery_pool
+        if pool:
+            delivery = pool.pop()
+            delivery.receiver = receiver
+            delivery.msg = msg
+        else:
+            delivery = _Delivery(receiver, msg, pool)
+        self.engine.at(arrive, delivery)
 
     # ------------------------------------------------------------------
     def inject(self, arrive: int, msg: Message, key: tuple) -> None:

@@ -36,16 +36,23 @@ stream from ``seed``, each link's outage schedule from ``(seed, link)``
 and each node's crash schedule from ``(seed, node)`` — so a faulty run
 replays exactly, independent of how many links or nodes are queried or
 in what order.
+
+Outage schedules live in a dense list indexed by the topology's integer
+link ids (the fabric binds its topology at install time), and
+:meth:`FaultPlan.judge` walks the dimension-order route arithmetically
+— the same step plan the link model times — so a faulty send never
+materializes a link list.  A schedule's RNG stream is still named after
+its ``(from, to)`` tuple, recovered with ``Topology.link_of``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.network.message import Message
-from repro.network.topology import Link
+from repro.network.topology import Link, Topology
 
 #: What the wire did to one send: "sent" (delivered, possibly late),
 #: "sent+dup" (delivered twice), "drop" (random loss) or "outage" (a
@@ -196,10 +203,19 @@ class FaultPlan:
                 )
         self.durability = durability
         self._roll = random.Random(f"{seed}:faults:roll")
-        self._outages: Dict[Link, _LinkOutages] = {}
+        #: The topology outages are judged on (see :meth:`bind`), and
+        #: its lazily created outage schedules indexed by link id.
+        self._topology: Optional[Topology] = None
+        self._outages: Optional[List[Optional[_LinkOutages]]] = None
         self._crashes: Dict[int, _NodeCrashes] = {}
 
     # ------------------------------------------------------------------
+    def bind(self, topology: Topology) -> None:
+        """Judge outages on ``topology`` (the fabric calls this when the
+        plan is installed, before any traffic)."""
+        self._topology = topology
+        self._outages = [None] * topology.n_link_ids
+
     @property
     def has_crashes(self) -> bool:
         """True when this plan can ever take a node down."""
@@ -217,37 +233,79 @@ class FaultPlan:
         return sched
 
     # ------------------------------------------------------------------
-    def link_outages(self, link: Link) -> _LinkOutages:
-        """The (lazily created) outage schedule of one directed link."""
-        sched = self._outages.get(link)
-        if sched is None:
-            sched = self._outages[link] = _LinkOutages(
-                random.Random(f"{self.seed}:faults:link:{link}"),
-                self.outage_rate,
-                self.outage_cycles,
-            )
+    def _schedule(self, link_id: int) -> _LinkOutages:
+        """Create the outage schedule of one link id, seeded by its
+        ``(from, to)`` tuple."""
+        sched = self._outages[link_id] = _LinkOutages(
+            random.Random(
+                f"{self.seed}:faults:link:{self._topology.link_of(link_id)}"
+            ),
+            self.outage_rate,
+            self.outage_cycles,
+        )
         return sched
 
-    def _route_down(self, path: List[Link], now: int) -> bool:
-        if not self.outage_rate:
-            return False
-        for link in path:
-            if self.link_outages(link).down(now):
-                return True
+    def link_outages(self, link: Link) -> _LinkOutages:
+        """The (lazily created) outage schedule of one directed link."""
+        if self._topology is None:
+            raise ConfigError("bind the fault plan to a topology first")
+        lid = self._topology.link_id(*link)
+        return self._outages[lid] or self._schedule(lid)
+
+    def _route_down(
+        self, src: int, steps: Tuple[int, int, int, int], now: int
+    ) -> bool:
+        """True when a link of the route ``steps`` from ``src`` (see
+        ``Topology.route_steps``) is down at ``now``."""
+        outages = self._outages
+        if outages is None:
+            raise ConfigError("bind the fault plan to a topology first")
+        topo = self._topology
+        width = topo.width
+        nx, sx, ny, sy = steps
+        x = src % width
+        pos = src
+        if nx:
+            rowbase = src - x
+            direction = 0 if sx > 0 else topo._xneg
+            for _ in range(nx):
+                lid = pos * 4 + direction
+                if (outages[lid] or self._schedule(lid)).down(now):
+                    return True
+                x = (x + sx) % width
+                pos = rowbase + x
+        if ny:
+            height = topo.height
+            y = pos // width
+            direction = 2 if sy > 0 else topo._yneg
+            for _ in range(ny):
+                lid = pos * 4 + direction
+                if (outages[lid] or self._schedule(lid)).down(now):
+                    return True
+                y = (y + sy) % height
+                pos = y * width + x
         return False
 
     # ------------------------------------------------------------------
     def judge(
-        self, msg: Message, now: int, path: List[Link]
+        self,
+        msg: Message,
+        now: int,
+        src: int,
+        steps: Tuple[int, int, int, int],
     ) -> Tuple[Fate, Tuple[int, ...]]:
         """Decide one send's fate: ``(fate, extra delay per delivery)``.
 
-        An empty delay tuple means the message is lost; one entry is a
-        normal (possibly jittered) delivery; two entries mean the wire
-        duplicated it.  Delays are *added to* the fabric's computed
-        arrival time, outside the FIFO floor.
+        ``steps`` is the send's dimension-order route from ``src`` (see
+        ``Topology.route_steps``).  An empty delay tuple means the
+        message is lost; one entry is a normal (possibly jittered)
+        delivery; two entries mean the wire duplicated it.  Delays are
+        *added to* the fabric's computed arrival time, outside the FIFO
+        floor.
         """
-        if msg.dst in self.blackholes or self._route_down(path, now):
+        if msg.dst in self.blackholes or (
+            self.outage_rate and self._route_down(src, steps, now)
+        ):
             return "outage", ()
         roll = self._roll
         if self.drop_prob and roll.random() < self.drop_prob:

@@ -9,15 +9,11 @@ uncontended numbers of Section 3.1 (24-cycle adjacent round trip, 4 cycles
 per extra hop) and the congestion collapse the paper warns about when
 uncontrolled replication floods the network with updates (Section 2.5).
 
-Link state lives in one of two stores.  Bound to a topology (the fabric
-always binds one), states sit in a dense array indexed by the topology's
-integer link ids, and :meth:`LinkModel.traverse_steps` times a message by
-*walking* the dimension-order route arithmetically — no materialized link
-list, no per-link hashing, O(1) memory per directed link ever used.
-Unbound (tests that hand-build paths), states fall back to a dict keyed
-by ``(from, to)`` tuples.  Both stores resolve a given physical link to
-the same :class:`LinkState`, so explicit-path and walked traversals of
-the same fabric always share occupancy state.
+Link states sit in a dense array indexed by the topology's integer link
+ids, and :meth:`LinkModel.traverse_steps` times a message by *walking*
+the dimension-order route arithmetically — no materialized link list, no
+per-link hashing, O(1) memory per directed link ever used.  Every send,
+lossless or faulty, is timed this one way.
 
 Fault injection layers *above* this model: a
 :class:`~repro.network.faults.FaultPlan` decides whether a send is
@@ -59,7 +55,6 @@ class LinkModel:
     __slots__ = (
         "params",
         "topology",
-        "_links",
         "_dense",
         "_occupancy_cache",
         "_hop_cycles",
@@ -70,18 +65,12 @@ class LinkModel:
         "_yneg",
     )
 
-    def __init__(
-        self, params: TimingParams, topology: Optional[Topology] = None
-    ) -> None:
+    def __init__(self, params: TimingParams, topology: Topology) -> None:
         self.params = params
         self.topology = topology
-        #: Tuple-keyed fallback store (only used with no topology bound).
-        self._links: Dict[Link, LinkState] = {}
         #: Dense store indexed by topology link id; entries materialize
         #: on first use so an idle link costs one list slot.
-        self._dense: Optional[List[Optional[LinkState]]] = (
-            [None] * topology.n_link_ids if topology is not None else None
-        )
+        self._dense: List[Optional[LinkState]] = [None] * topology.n_link_ids
         #: Memoized link_occupancy_cycles per message size (the size
         #: vocabulary is tiny, and this sits on the per-message path).
         self._occupancy_cache: Dict[int, int] = {}
@@ -89,27 +78,10 @@ class LinkModel:
         self._hop_cycles = params.net_hop_cycles
         self._fixed_cycles = params.net_fixed_cycles
         # Geometry hoisted for the walk loop (see traverse_steps).
-        if topology is not None:
-            self._width = topology.width
-            self._height = topology.height
-            self._xneg = topology._xneg
-            self._yneg = topology._yneg
-        else:
-            self._width = self._height = 0
-            self._xneg, self._yneg = 1, 3
-
-    def _state(self, link: Link) -> LinkState:
-        topo = self.topology
-        if topo is not None:
-            lid = topo.link_id(*link)
-            state = self._dense[lid]
-            if state is None:
-                state = self._dense[lid] = LinkState()
-            return state
-        state = self._links.get(link)
-        if state is None:
-            state = self._links[link] = LinkState()
-        return state
+        self._width = topology.width
+        self._height = topology.height
+        self._xneg = topology._xneg
+        self._yneg = topology._yneg
 
     def occupancy_cycles(self, size_bytes: int) -> int:
         """Cached ``params.link_occupancy_cycles`` for ``size_bytes``."""
@@ -118,33 +90,6 @@ class LinkModel:
             cached = self.params.link_occupancy_cycles(size_bytes)
             self._occupancy_cache[size_bytes] = cached
         return cached
-
-    def states_for(self, path: List[Link]) -> List[LinkState]:
-        """Resolve an explicit route to its per-link occupancy records.
-
-        With a topology bound this resolves into the same dense store
-        the arithmetic walk uses, so both access forms share state.
-        """
-        topo = self.topology
-        if topo is None:
-            links = self._links
-            states = []
-            for link in path:
-                state = links.get(link)
-                if state is None:
-                    state = links[link] = LinkState()
-                states.append(state)
-            return states
-        dense = self._dense
-        link_id = topo.link_id
-        states = []
-        for frm, to in path:
-            lid = link_id(frm, to)
-            state = dense[lid]
-            if state is None:
-                state = dense[lid] = LinkState()
-            states.append(state)
-        return states
 
     def traverse_steps(
         self,
@@ -160,8 +105,7 @@ class LinkModel:
 
         The route is walked incrementally: per hop, the next position and
         dense link id are O(1) coordinate arithmetic, so no link list is
-        ever materialized.  Timing semantics are identical to
-        :meth:`traverse_states`: the head of the message advances one hop
+        ever materialized.  The head of the message advances one hop
         per ``net_hop_cycles`` but may stall waiting for a link that is
         still draining an earlier message; the tail then occupies each
         link for the serialisation time.
@@ -236,56 +180,9 @@ class LinkModel:
             t = not_before
         return t
 
-    def traverse_states(
-        self,
-        states: List[LinkState],
-        depart: int,
-        size_bytes: int,
-        not_before: int = 0,
-    ) -> int:
-        """Arrival time of a message leaving at ``depart`` along the
-        pre-resolved route ``states`` (see :meth:`states_for`).  Same
-        timing semantics as :meth:`traverse_steps`."""
-        occupancy = self._occupancy_cache.get(size_bytes)
-        if occupancy is None:
-            occupancy = self.occupancy_cycles(size_bytes)
-        hop_cycles = self._hop_cycles
-        t = depart + self._fixed_cycles
-        state = None
-        for state in states:
-            start = state.next_free
-            if t > start:
-                start = t
-            state.busy_cycles += occupancy + start - t
-            t = start + hop_cycles
-            state.next_free = start + occupancy
-            state.messages += 1
-        if t < not_before and state is not None:
-            hold = not_before - t
-            state.next_free += hold
-            state.busy_cycles += hold
-            t = not_before
-        return t
-
-    def traverse(
-        self,
-        path: List[Link],
-        depart: int,
-        size_bytes: int,
-        not_before: int = 0,
-    ) -> int:
-        """Arrival time along ``path`` (resolves links, then times them)."""
-        return self.traverse_states(
-            self.states_for(path), depart, size_bytes, not_before
-        )
-
     # -- instrumentation -------------------------------------------------
     def _live_states(self) -> Iterator[LinkState]:
-        yield from self._links.values()
-        if self._dense is not None:
-            for state in self._dense:
-                if state is not None:
-                    yield state
+        return (state for state in self._dense if state is not None)
 
     def total_link_messages(self) -> int:
         return sum(s.messages for s in self._live_states())
@@ -295,13 +192,11 @@ class LinkModel:
 
     def hottest_links(self, top: int = 5) -> List[tuple]:
         """The ``top`` busiest links as (link, busy_cycles, messages)."""
-        items: List[Tuple[Link, LinkState]] = list(self._links.items())
-        if self._dense is not None:
-            link_of = self.topology.link_of
-            items.extend(
-                (link_of(lid), state)
-                for lid, state in enumerate(self._dense)
-                if state is not None
-            )
+        link_of = self.topology.link_of
+        items: List[Tuple[Link, LinkState]] = [
+            (link_of(lid), state)
+            for lid, state in enumerate(self._dense)
+            if state is not None
+        ]
         ranked = sorted(items, key=lambda kv: kv[1].busy_cycles, reverse=True)
         return [(link, s.busy_cycles, s.messages) for link, s in ranked[:top]]

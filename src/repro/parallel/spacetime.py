@@ -195,58 +195,19 @@ class SpaceFabric(Fabric):
     def _send_cross(self, msg: Message, dst: int) -> int:
         """Route/time/account a cross-region send, then stage it."""
         src = msg.src
-        floor_key = src * self._n_positions + dst
         if msg.msg_id < 0:
             msg.msg_id = self._next_msg_id
             self._next_msg_id += self._msg_id_step
-        if self.fault_plan is not None:
-            return self._stage_faulty(msg, src, dst, floor_key)
-        now = self.engine._now
-        size = msg.size_bytes
-        steps = self.mesh.route_steps(src, dst)
-        floors = self._floors
-        arrive = self.links.traverse_steps(
-            src, steps, now, size, not_before=floors.get(floor_key, 0)
+        # No receiver: ``_deliver`` stages every surviving copy.
+        return self._send_routed(
+            msg, None, src, dst, src * self._n_positions + dst
         )
-        floors[floor_key] = arrive + 1
-        if self._trace is not None:
-            self._trace.record(now, msg, arrive)
-        stats = self.stats
-        stats._kind_counts[msg.kind.idx] += 1
-        stats.total_messages += 1
-        stats.total_hops += steps[0] + steps[2]
-        stats.total_bytes += size
-        self._stage(dst, arrive, msg)
-        return arrive
 
-    def _stage_faulty(
-        self, msg: Message, src: int, dst: int, floor_key: int
-    ) -> int:
-        """Mirror of ``Fabric._send_faulty`` that stages each delivery
-        copy instead of scheduling it."""
-        now = self.engine._now
-        stats = self.stats
-        path = self.mesh.route(src, dst)
-        stats.record(msg, len(path))
-        fate, delays = self.fault_plan.judge(msg, now, path)
-        if not delays:
-            stats.drops += 1
-            if self._trace is not None:
-                self._trace.record(now, msg, -1, fate=fate)
-            return -1
-        floors = self._floors
-        arrive = self.links.traverse(
-            path, now, msg.size_bytes, not_before=floors.get(floor_key, 0)
-        )
-        floors[floor_key] = arrive + 1
-        primary = arrive + delays[0]
-        if len(delays) > 1:
-            stats.dups += 1
-        if self._trace is not None:
-            self._trace.record(now, msg, primary, fate=fate)
-        for delay in delays:
-            self._stage(dst, arrive + delay, msg)
-        return primary
+    def _deliver(self, receiver, dst: int, arrive: int, msg: Message) -> None:
+        if receiver is None:
+            self._stage(dst, arrive, msg)
+        else:
+            Fabric._deliver(self, receiver, dst, arrive, msg)
 
     def _stage(self, dst: int, arrive: int, msg: Message) -> None:
         check_encodable(msg)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.check import InvariantMonitor
-from repro.core.params import TimingParams
+from repro.core.delayed import _Slot
+from repro.core.params import OpCode, TimingParams
 from repro.errors import CoherenceViolation
 from repro.machine import PlusMachine
 from repro.memory.address import PhysAddr
@@ -112,6 +113,32 @@ def test_pending_cache_bound_is_enforced(machine4):
     cm.pending._addr_of[999] = PhysAddr(1, 0, 63)
     monitor.record(2, _msg(MsgKind.WRITE_REQ))
     assert any("pending-bound" in v for v in monitor.violations)
+    monitor.uninstall()
+
+
+@pytest.mark.parametrize("rule", ["pending-bound", "delayed-bound"])
+def test_cache_bounds_follow_caches_replaced_by_a_crash(machine4, rule):
+    # A crash gives the node fresh caches; the monitor must watch those,
+    # not the dead node's.
+    monitor = InvariantMonitor(strict=False).install(machine4)
+    machine4.crash_node(0)
+    machine4.restart_node(0)
+    cm = machine4.nodes[0].cm
+    if rule == "pending-bound":
+        for i in range(cm.pending.capacity):
+            cm.pending.add(PhysAddr(1, 0, i))
+    else:
+        for _ in range(machine4.params.delayed_slots):
+            cm.delayed.allocate(OpCode.FETCH_ADD)
+    monitor.record(1, _msg(MsgKind.WRITE_REQ))
+    assert not monitor.violations
+    # Force one entry past the replacement cache's own guard.
+    if rule == "pending-bound":
+        cm.pending._addr_of[999] = PhysAddr(1, 0, 63)
+    else:
+        cm.delayed._slots.append(_Slot(len(cm.delayed._slots)))
+    monitor.record(2, _msg(MsgKind.WRITE_REQ))
+    assert any(rule in v for v in monitor.violations)
     monitor.uninstall()
 
 

@@ -74,14 +74,16 @@ def test_injected_bug_report_is_cycle_stamped():
 # Jittered links keep the fabric's FIFO ordering guarantee.
 # ----------------------------------------------------------------------
 def test_jittered_link_model_respects_fifo_floor():
-    model = JitteredLinkModel(TimingParams(), random.Random(3), amplitude=9)
     from repro.network.topology import Mesh
 
     mesh = Mesh(4)
-    path = mesh.route(0, 3)
+    model = JitteredLinkModel(
+        TimingParams(), random.Random(3), amplitude=9, topology=mesh
+    )
+    steps = mesh.route_steps(0, 3)
     floor = 0
     for depart in range(0, 200, 7):
-        arrive = model.traverse(path, depart, 16, not_before=floor)
+        arrive = model.traverse_steps(0, steps, depart, 16, not_before=floor)
         assert arrive >= floor
         floor = arrive + 1
 

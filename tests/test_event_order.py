@@ -13,7 +13,9 @@ read, an invalidate-protocol refetch, a read behind a pending write, a
 full pending-writes cache, an exhausted delayed-operations cache, a
 delayed operation behind a pending write, a fence behind writes and
 update chains, and a context switch.  The chaos seed adds a node crash
-that kills threads in the middle of requests.
+that kills threads in the middle of requests, and the faults seed
+pins the fault-plan send path: link outages, fault-plan jitter,
+duplicates, link-model jitter and random tie-breaking in one run.
 
 A digest mismatch means the simulated behaviour changed; a pure host
 speed-up must leave every digest untouched.
@@ -230,6 +232,30 @@ def chaos_seed():
     return machine, _digest(machine, monitor, threads)
 
 
+#: A ``--faults`` stress seed whose wire loses messages to link outages
+#: and random drops, duplicates and jitters deliveries, and whose link
+#: model and engine add jitter and random ties on top.
+FAULTS_SEED = 12
+
+
+def faults_seed():
+    config = StressConfig.from_seed(FAULTS_SEED, faults=True)
+    assert config.jitter and config.random_ties and config.fault_jitter
+    machine, monitor, spawn_plans = build_machine(config)
+    threads = [
+        machine.spawn(node, program, name=f"stress-{FAULTS_SEED}")
+        for node, program in spawn_plans
+    ]
+    try:
+        machine.run(max_events=5_000_000)
+    finally:
+        monitor.uninstall()
+    fates = {entry.fate for entry in monitor.entries}
+    assert "outage" in fates, "the pinned faults seed must hit an outage"
+    assert {"drop", "sent+dup"} <= fates
+    return machine, _digest(machine, monitor, threads)
+
+
 #: The reference event order of each scenario.
 PINNED = {
     two_threads_per_node: (
@@ -255,6 +281,10 @@ PINNED = {
     chaos_seed: (
         "48dcd8e2b31b9a14e76ddce8d9dc2ce7"
         "f46b42ea3cf0a984e7032d0d973a4f9d"
+    ),
+    faults_seed: (
+        "d541cbdf17a2cb19ae9f968137a5d075"
+        "2e9e34d518049c9debc5ffc9dcace603"
     ),
 }
 

@@ -21,8 +21,9 @@ from repro.core.reliable import _InChannel
 from repro.errors import ConfigError, DeadlockError, NodeUnreachable
 from repro.machine import PlusMachine
 from repro.network.fabric import FabricStats
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultPlan, _LinkOutages
 from repro.network.message import Message, MsgKind
+from repro.network.topology import TOPOLOGIES, Mesh, make_topology
 from repro.sim.engine import Engine
 from repro.stats.trace import ProtocolTrace
 
@@ -31,8 +32,11 @@ from repro.stats.trace import ProtocolTrace
 # FaultPlan: seeded, deterministic wire decisions.
 # ----------------------------------------------------------------------
 def _judged(plan, n=200, dst=1):
+    mesh = Mesh(4)
+    plan.bind(mesh)
+    steps = mesh.route_steps(0, dst)
     msgs = [Message(kind=MsgKind.UPDATE, src=0, dst=dst) for _ in range(n)]
-    return [plan.judge(m, i, [(0, dst)]) for i, m in enumerate(msgs)]
+    return [plan.judge(m, i, 0, steps) for i, m in enumerate(msgs)]
 
 
 def test_fault_plan_is_deterministic_per_seed():
@@ -69,10 +73,15 @@ def test_blackhole_swallows_every_send():
     assert all(fate == "sent" for fate, _ in _judged(plan, dst=2))
 
 
+def _bound(plan):
+    plan.bind(Mesh(4))
+    return plan
+
+
 def test_outage_windows_are_seeded_and_sized():
-    plan = FaultPlan(5, outage_rate=1 / 500, outage_cycles=100)
+    plan = _bound(FaultPlan(5, outage_rate=1 / 500, outage_cycles=100))
     windows = plan.link_outages((0, 1)).windows_until(20_000)
-    again = FaultPlan(5, outage_rate=1 / 500, outage_cycles=100)
+    again = _bound(FaultPlan(5, outage_rate=1 / 500, outage_cycles=100))
     assert windows == again.link_outages((0, 1)).windows_until(20_000)
     assert windows, "expected at least one outage before the horizon"
     assert all(end - start == 100 for start, end in windows)
@@ -82,11 +91,58 @@ def test_outage_windows_are_seeded_and_sized():
 
 
 def test_outage_drops_messages_while_link_is_down():
-    plan = FaultPlan(5, outage_rate=1 / 500, outage_cycles=100)
-    probe = FaultPlan(5, outage_rate=1 / 500, outage_cycles=100)
+    plan = _bound(FaultPlan(5, outage_rate=1 / 500, outage_cycles=100))
+    probe = _bound(FaultPlan(5, outage_rate=1 / 500, outage_cycles=100))
     start, _end = probe.link_outages((0, 1)).windows_until(20_000)[0]
     msg = Message(kind=MsgKind.UPDATE, src=0, dst=1)
-    assert plan.judge(msg, start, [(0, 1)]) == ("outage", ())
+    steps = Mesh(4).route_steps(0, 1)
+    assert plan.judge(msg, start, 0, steps) == ("outage", ())
+
+
+@st.composite
+def _grids(draw):
+    """Meshes and tori up to 5x5, 2-wide wrapped dims and ragged last
+    rows included."""
+    width = draw(st.integers(1, 5))
+    height = draw(st.integers(1, 5))
+    n_nodes = draw(st.integers(1, width * height))
+    name = draw(st.sampled_from(sorted(TOPOLOGIES)))
+    return make_topology(name, n_nodes, width, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=_grids(),
+    seed=st.integers(0, 1_000),
+    sends=st.lists(
+        st.tuples(st.integers(0, 24), st.integers(0, 24), st.integers(0, 300)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_outages_judged_by_link_id_match_the_tuple_path(grid, seed, sends):
+    rate, cycles = 1 / 200, 60
+    plan = FaultPlan(seed, outage_rate=rate, outage_cycles=cycles)
+    plan.bind(grid)
+    # Reference: schedules keyed by explicit route tuples.
+    reference = {}
+    now = 0
+    for a, b, gap in sends:
+        src, dst = a % grid.n_nodes, b % grid.n_nodes
+        now += gap
+        path = grid.route(src, dst)
+        expected = False
+        for link in path:
+            assert grid.link_of(grid.link_id(*link)) == link
+            sched = reference.get(link)
+            if sched is None:
+                sched = reference[link] = _LinkOutages(
+                    random.Random(f"{seed}:faults:link:{link}"), rate, cycles
+                )
+            expected = expected or sched.down(now)
+        msg = Message(kind=MsgKind.UPDATE, src=src, dst=dst)
+        fate, _ = plan.judge(msg, now, src, grid.route_steps(src, dst))
+        assert (fate == "outage") == expected
 
 
 def test_fault_plan_validation():
@@ -342,7 +398,7 @@ def test_monitor_adopts_fabric_plan_on_install():
 
 
 # ----------------------------------------------------------------------
-# Shared traffic accounting (FabricStats.record is the one path).
+# Shared traffic accounting (every send path counts the same way).
 # ----------------------------------------------------------------------
 class _ShadowStats(ProtocolTrace):
     """Recompute the fabric's counters independently via the trace hook."""
@@ -354,7 +410,11 @@ class _ShadowStats(ProtocolTrace):
 
     def record(self, time, msg, arrive=-1, fate="sent"):
         super().record(time, msg, arrive, fate)
-        self.stats.record(msg, self.mesh.hops(msg.src, msg.dst))
+        stats = self.stats
+        stats._kind_counts[msg.kind.idx] += 1
+        stats.total_messages += 1
+        stats.total_hops += self.mesh.hops(msg.src, msg.dst)
+        stats.total_bytes += msg.size_bytes
 
 
 def _traffic_totals(stats):

@@ -129,44 +129,50 @@ class TestArithmeticRouting:
         assert a.route(0, 5) != b.route(0, 5)
 
 
+def _traverse(links, mesh, src, dst, depart, size_bytes):
+    return links.traverse_steps(
+        src, mesh.route_steps(src, dst), depart, size_bytes
+    )
+
+
 class TestLinkModel:
     def test_uncontended_latency(self):
         params = PAPER_PARAMS
-        links = LinkModel(params)
         mesh = Mesh(16)
-        arrive = links.traverse(mesh.route(0, 1), depart=0, size_bytes=4)
+        links = LinkModel(params, mesh)
+        arrive = _traverse(links, mesh, 0, 1, depart=0, size_bytes=4)
         assert arrive == params.net_fixed_cycles + params.net_hop_cycles
 
     def test_adjacent_round_trip_is_24_cycles(self):
         params = PAPER_PARAMS
-        links = LinkModel(params)
         mesh = Mesh(4)
-        t1 = links.traverse(mesh.route(0, 1), depart=0, size_bytes=4)
-        t2 = links.traverse(mesh.route(1, 0), depart=t1, size_bytes=4)
+        links = LinkModel(params, mesh)
+        t1 = _traverse(links, mesh, 0, 1, depart=0, size_bytes=4)
+        t2 = _traverse(links, mesh, 1, 0, depart=t1, size_bytes=4)
         assert t2 == 24
 
     def test_contention_delays_second_message(self):
         params = PAPER_PARAMS
-        links = LinkModel(params)
         mesh = Mesh(4)
-        path = mesh.route(0, 1)
-        first = links.traverse(path, depart=0, size_bytes=80)  # 100-cycle hold
-        second = links.traverse(path, depart=0, size_bytes=80)
+        links = LinkModel(params, mesh)
+        # 100-cycle hold
+        first = _traverse(links, mesh, 0, 1, depart=0, size_bytes=80)
+        second = _traverse(links, mesh, 0, 1, depart=0, size_bytes=80)
         assert second > first
 
     def test_disjoint_paths_do_not_interact(self):
         params = PAPER_PARAMS
-        links = LinkModel(params)
         mesh = Mesh(16)
-        t1 = links.traverse(mesh.route(0, 1), depart=0, size_bytes=400)
-        t2 = links.traverse(mesh.route(14, 15), depart=0, size_bytes=400)
+        links = LinkModel(params, mesh)
+        t1 = _traverse(links, mesh, 0, 1, depart=0, size_bytes=400)
+        t2 = _traverse(links, mesh, 14, 15, depart=0, size_bytes=400)
         assert t1 == t2
 
     def test_busy_accounting(self):
         params = PAPER_PARAMS
-        links = LinkModel(params)
         mesh = Mesh(4)
-        links.traverse(mesh.route(0, 3), depart=0, size_bytes=8)
+        links = LinkModel(params, mesh)
+        _traverse(links, mesh, 0, 3, depart=0, size_bytes=8)
         assert links.total_link_messages() == 2  # two hops
         assert links.total_busy_cycles() == 2 * params.link_occupancy_cycles(8)
         assert len(links.hottest_links()) == 2
@@ -298,10 +304,11 @@ class TestFifoFloorReconciliation:
         engine = Engine()
         fabric = Fabric(engine, Mesh(4), PAPER_PARAMS)
         fabric.attach(3, lambda m: None)
-        mirror = LinkModel(PAPER_PARAMS)
-        path = Mesh(4).route(0, 3)
+        mirror = LinkModel(PAPER_PARAMS, Mesh(4))
 
         for i in range(6):
             msg = Message(MsgKind.UPDATE, 0, 3, xid=i, writes=[(0, i)])
-            expected = mirror.traverse(path, depart=0, size_bytes=msg.size_bytes)
+            expected = _traverse(
+                mirror, Mesh(4), 0, 3, depart=0, size_bytes=msg.size_bytes
+            )
             assert fabric.send(msg) == expected
