@@ -47,6 +47,14 @@ INF = 0x7FFF_FFFF  # scores are 31-bit; the top bit of a score word is its lock
 
 SYNC_MODES = ("blocking", "delayed", "context")
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_FETCH_ADD = OpCode.FETCH_ADD
+_FETCH_SET = OpCode.FETCH_SET
+_MIN_XCHNG = OpCode.MIN_XCHNG
+_QUEUE = OpCode.QUEUE
+_DEQUEUE = OpCode.DEQUEUE
+
 
 @dataclass
 class BeamConfig:
@@ -153,14 +161,14 @@ class BeamSearchApp:
             )
             for i, s in enumerate(owned[node]):
                 self._score_va[s] = scores.addr(i)
-                machine.poke(scores.addr(i), INF)
+            machine.shm.load(scores, [INF] * len(owned[node]))
             if self.config.track_backpointers:
                 bps = machine.shm.alloc(
                     len(owned[node]), home=node, name=f"beam-bp{node}"
                 )
                 for i, s in enumerate(owned[node]):
                     self._bp_va[s] = bps.addr(i)
-                    machine.poke(bps.addr(i), INF)
+                machine.shm.load(bps, [INF] * len(owned[node]))
             # Arc tables are read-only: replicated everywhere, like code.
             flat: List[int] = []
             bases: List[int] = []
@@ -188,8 +196,7 @@ class BeamSearchApp:
             lattice.n_layers, home=0, replicas=everyone[1:], name="beam-best"
         )
         self._best_base = best.base
-        for layer in range(lattice.n_layers):
-            machine.poke(best.addr(layer), INF)
+        machine.shm.load(best, [INF] * lattice.n_layers)
 
         # Per-layer outstanding-item counters, spread across the nodes.
         self._cnt_va: List[int] = []
@@ -241,7 +248,7 @@ class BeamSearchApp:
         self._owner = [self.owner_of(s) for s in range(lattice.n_states)]
         self._score_rd = {s: Read(va) for s, va in self._score_va.items()}
         self._fs_issue = {
-            s: Issue(OpCode.FETCH_SET, va) for s, va in self._score_va.items()
+            s: Issue(_FETCH_SET, va) for s, va in self._score_va.items()
         }
         # Index n_layers is constructed but never yielded (final-layer
         # states have no successors); it keeps the indexing uniform.
@@ -251,10 +258,10 @@ class BeamSearchApp:
         ]
         self._cnt_rd = [Read(va) for va in self._cnt_va]
         self._cnt_dec = [
-            Issue(OpCode.FETCH_ADD, va, 0xFFFFFFFF) for va in self._cnt_va
+            Issue(_FETCH_ADD, va, 0xFFFFFFFF) for va in self._cnt_va
         ]
         self._dq_issue = [
-            [Issue(OpCode.DEQUEUE, q.head_va) for q in qs]
+            [Issue(_DEQUEUE, q.head_va) for q in qs]
             for qs in self._queues
         ]
         self._arc_rd = {
@@ -403,8 +410,8 @@ class BeamSearchApp:
         yield_req = self._yield_req
         score_rd = self._score_rd
         owner = self._owner
-        fetch_add = OpCode.FETCH_ADD
-        enqueue_op = OpCode.QUEUE
+        fetch_add = _FETCH_ADD
+        enqueue_op = _QUEUE
         beam = cfg.beam
         for layer in range(lattice.n_layers):
             parity = layer & 1
@@ -515,7 +522,7 @@ class BeamSearchApp:
         track_bp = cfg.track_backpointers
         best_rd = self._best_rd[layer + 1]
         best_va = self._best_base + layer + 1
-        min_xchng = OpCode.MIN_XCHNG
+        min_xchng = _MIN_XCHNG
         n = len(succs)
         token = yield fs_issue[succs[0][0]]
         for i, (succ, w) in enumerate(succs):

@@ -36,6 +36,10 @@ from repro.stats.report import RunReport
 
 INF = 0xFFFF_FFFF
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_MIN_XCHNG = OpCode.MIN_XCHNG
+
 
 @dataclass
 class SSSPConfig:
@@ -155,7 +159,7 @@ class SSSPApp:
                 self._dist_segs.append(dist_seg)
                 for i, v in enumerate(owned[node]):
                     self._dist_va[v] = dist_seg.addr(i)
-                    machine.poke(dist_seg.addr(i), INF)
+                machine.shm.load(dist_seg, [INF] * len(owned[node]))
                 flat: List[int] = []
                 bases: List[int] = []
                 for v in owned[node]:
@@ -252,7 +256,7 @@ class SSSPApp:
         dist_rd = {v: Read(va) for v, va in dist_va.items()}
         loop_compute = Compute(cfg.loop_compute_cycles)
         edge_compute = Compute(cfg.edge_compute_cycles)
-        min_xchng = OpCode.MIN_XCHNG
+        min_xchng = _MIN_XCHNG
         while True:
             vertex = yield from self._pop(ctx, self._queue_of(node), steal_ptr)
             if vertex is None:

@@ -36,6 +36,14 @@ from repro.network.faults import FaultPlan
 from repro.network.message import Message, MsgKind
 from repro.stats.trace import ProtocolTrace
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_UPDATE = MsgKind.UPDATE
+_INVALIDATE = MsgKind.INVALIDATE
+_WRITE_ACK = MsgKind.WRITE_ACK
+_RMW_RESP = MsgKind.RMW_RESP
+_NET_ACK = MsgKind.NET_ACK
+
 
 class InvariantMonitor(ProtocolTrace):
     """A trace capture that also enforces live protocol invariants.
@@ -219,7 +227,7 @@ class InvariantMonitor(ProtocolTrace):
                 )
             machine = self._machine
             if machine is not None and (
-                msg.seq >= 0 or kind is MsgKind.NET_ACK
+                msg.seq >= 0 or kind is _NET_ACK
             ):
                 sender_epoch = msg.epoch >> 16
                 live = machine.node_epoch(msg.src)
@@ -234,7 +242,7 @@ class InvariantMonitor(ProtocolTrace):
                         node=msg.src,
                         msg=msg,
                     )
-        if kind is MsgKind.WRITE_ACK:
+        if kind is _WRITE_ACK:
             # Acks carry no origin field; their destination is the
             # originator that the tail copy is releasing.
             key = self._chain_key(msg, msg.dst)
@@ -255,7 +263,7 @@ class InvariantMonitor(ProtocolTrace):
                     node=msg.src,
                     msg=msg,
                 )
-        elif kind is MsgKind.RMW_RESP:
+        elif kind is _RMW_RESP:
             key = (msg.dst, msg.xid)
             if self._is_retransmit("resp", key, msg.msg_id):
                 self._check_cache_bounds(time)
@@ -271,7 +279,7 @@ class InvariantMonitor(ProtocolTrace):
                     node=msg.src,
                     msg=msg,
                 )
-        elif kind in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+        elif kind in (_UPDATE, _INVALIDATE):
             key = self._chain_key(msg, msg.origin)
             if self._is_retransmit("upd", key, msg.msg_id):
                 self._check_cache_bounds(time)

@@ -49,7 +49,7 @@ stays exactly-once, in order.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CoherenceViolation
@@ -70,6 +70,18 @@ _DYNAMIC_KINDS = (
     MsgKind.TLB_SHOOTDOWN,
     MsgKind.TLB_SHOOTDOWN_ACK,
 )
+
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_READ_REQ = MsgKind.READ_REQ
+_READ_RESP = MsgKind.READ_RESP
+_WRITE_REQ = MsgKind.WRITE_REQ
+_UPDATE = MsgKind.UPDATE
+_INVALIDATE = MsgKind.INVALIDATE
+_WRITE_ACK = MsgKind.WRITE_ACK
+_RMW_REQ = MsgKind.RMW_REQ
+_RMW_RESP = MsgKind.RMW_RESP
+_NET_ACK = MsgKind.NET_ACK
 
 
 @dataclass(frozen=True)
@@ -179,13 +191,13 @@ class CoherenceOracle:
         entries: List[TraceEntry] = []
         seen = set()
         for e in trace:
-            if e.kind is MsgKind.NET_ACK or e.msg_id in seen:
+            if e.kind is _NET_ACK or e.msg_id in seen:
                 continue
             when = applied.get(e.msg_id)
             if when is None:
                 continue  # the wire ate every copy; nothing was applied
             seen.add(e.msg_id)
-            entries.append(e if e.arrive == when else replace(e, arrive=when))
+            entries.append(e if e.arrive == when else e._replace(arrive=when))
         return entries
 
     # ------------------------------------------------------------------
@@ -333,35 +345,35 @@ class CoherenceOracle:
         reads: Dict[tuple, List[TraceEntry]] = defaultdict(list)
         for e in self._entries:
             kind = e.kind
-            if kind is MsgKind.READ_REQ:
+            if kind is _READ_REQ:
                 reads[(e.origin, e.xid)].append(e)
-            elif kind is MsgKind.READ_RESP:
+            elif kind is _READ_RESP:
                 reads[(e.dst, e.xid)].append(e)
-            elif kind in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+            elif kind in (_UPDATE, _INVALIDATE):
                 cls = "w" if e.op is None else "r"
                 chains[(cls, e.origin, e.xid)].append(e)
-            elif kind is MsgKind.WRITE_REQ:
+            elif kind is _WRITE_REQ:
                 chains[("w", e.origin, e.xid)].append(e)
-            elif kind is MsgKind.RMW_REQ:
+            elif kind is _RMW_REQ:
                 chains[("r", e.origin, e.xid)].append(e)
-            elif kind is MsgKind.WRITE_ACK:
+            elif kind is _WRITE_ACK:
                 cls = "w" if e.op is None else "r"
                 chains[(cls, e.dst, e.xid)].append(e)
-            elif kind is MsgKind.RMW_RESP:
+            elif kind is _RMW_RESP:
                 chains[("r", e.dst, e.xid)].append(e)
         return chains, reads
 
     def _chain_layout(self, items: List[TraceEntry]):
         """(vpage, master node, expected non-master node path) or None."""
         for e in items:
-            if e.kind in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+            if e.kind in (_UPDATE, _INVALIDATE):
                 vpage = self._phys.get((e.dst, e.page))
                 if vpage is None:
                     return None
                 clist = self._clists[vpage]
                 return vpage, clist.master.node, clist.nodes[1:]
         for e in items:
-            if e.kind in (MsgKind.WRITE_REQ, MsgKind.RMW_REQ):
+            if e.kind in (_WRITE_REQ, _RMW_REQ):
                 vpage = self._phys.get((e.dst, e.page))
                 if vpage is not None:
                     clist = self._clists[vpage]
@@ -375,7 +387,7 @@ class CoherenceOracle:
         updates = [
             e
             for e in items
-            if e.kind in (MsgKind.UPDATE, MsgKind.INVALIDATE)
+            if e.kind in (_UPDATE, _INVALIDATE)
         ]
         if not updates:
             return
@@ -416,10 +428,10 @@ class CoherenceOracle:
         updates = [
             e
             for e in items
-            if e.kind in (MsgKind.UPDATE, MsgKind.INVALIDATE)
+            if e.kind in (_UPDATE, _INVALIDATE)
         ]
-        acks = [e for e in items if e.kind is MsgKind.WRITE_ACK]
-        resps = [e for e in items if e.kind is MsgKind.RMW_RESP]
+        acks = [e for e in items if e.kind is _WRITE_ACK]
+        resps = [e for e in items if e.kind is _RMW_RESP]
         label = "write" if cls == "w" else "RMW"
         name = f"{label} chain origin={origin} xid={xid}"
 
@@ -478,7 +490,7 @@ class CoherenceOracle:
         if updates:
             tail = updates[-1].dst
             expected = 0 if tail == origin else 1
-        elif any(e.kind is MsgKind.WRITE_REQ for e in items):
+        elif any(e.kind is _WRITE_REQ for e in items):
             expected = 1  # remote write to an unreplicated page
         else:
             return  # RMW with no memory mutation acknowledges via RMW_RESP
@@ -502,8 +514,8 @@ class CoherenceOracle:
         self, key: tuple, items: List[TraceEntry], report: OracleReport
     ) -> None:
         origin, xid = key
-        reqs = [e for e in items if e.kind is MsgKind.READ_REQ]
-        resps = [e for e in items if e.kind is MsgKind.READ_RESP]
+        reqs = [e for e in items if e.kind is _READ_REQ]
+        resps = [e for e in items if e.kind is _READ_RESP]
         if len(resps) != 1 or not reqs or resps[0].dst != origin:
             report.violations.append(
                 Violation(
@@ -533,7 +545,7 @@ class CoherenceOracle:
         """
         last: Dict[Tuple[int, int], TraceEntry] = {}
         for e in self._entries:
-            if e.kind not in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+            if e.kind not in (_UPDATE, _INVALIDATE):
                 continue
             if e.op is not None:
                 continue  # RMW ids come from a different counter
@@ -573,7 +585,7 @@ class CoherenceOracle:
         """
         apply_events: Dict[Tuple[int, int], List[tuple]] = defaultdict(list)
         for idx, e in enumerate(self._entries):
-            if e.kind not in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+            if e.kind not in (_UPDATE, _INVALIDATE):
                 continue
             vpage = self._phys.get((e.dst, e.page))
             if vpage is None:
@@ -585,7 +597,7 @@ class CoherenceOracle:
                 apply_events[(master.node, master.page)].append(
                     ((e.time, idx), "write", e.writes)
                 )
-            op = "write" if e.kind is MsgKind.UPDATE else "taint"
+            op = "write" if e.kind is _UPDATE else "taint"
             apply_events[(e.dst, e.page)].append(((e.arrive, idx), op, e.writes))
 
         for (node, page), events in apply_events.items():

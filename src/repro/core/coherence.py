@@ -49,6 +49,21 @@ ValueCallback = Callable[[int], None]
 Callback = Callable[[], None]
 SnoopHook = Callable[[int, int, int], None]
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_READ_REQ = MsgKind.READ_REQ
+_READ_RESP = MsgKind.READ_RESP
+_WRITE_REQ = MsgKind.WRITE_REQ
+_UPDATE = MsgKind.UPDATE
+_INVALIDATE = MsgKind.INVALIDATE
+_WRITE_ACK = MsgKind.WRITE_ACK
+_RMW_REQ = MsgKind.RMW_REQ
+_RMW_RESP = MsgKind.RMW_RESP
+_PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
+_TLB_SHOOTDOWN_ACK = MsgKind.TLB_SHOOTDOWN_ACK
+_NET_ACK = MsgKind.NET_ACK
+_QUEUE = OpCode.QUEUE
+
 
 class CoherenceManager:
     """Protocol engine of one PLUS node."""
@@ -311,7 +326,7 @@ class CoherenceManager:
         clist = None
         if route is not None and msg.addr is not None:
             clist = route(dead, msg.addr.page)
-        if kind is MsgKind.UPDATE or kind is MsgKind.INVALIDATE:
+        if kind is _UPDATE or kind is _INVALIDATE:
             nxt = None
             if clist is not None:
                 mine = clist.copy_on(self.node_id)
@@ -331,7 +346,7 @@ class CoherenceManager:
                 )
             else:
                 self._complete_chain(msg.origin, msg.xid, msg.op)
-        elif kind is MsgKind.WRITE_REQ:
+        elif kind is _WRITE_REQ:
             master = clist.master if clist is not None else None
             offset = msg.addr.offset
             if master is not None and master.node == self.node_id:
@@ -350,7 +365,7 @@ class CoherenceManager:
                 )
             elif master is not None and master.node != dead:
                 self._emit(
-                    MsgKind.WRITE_REQ,
+                    _WRITE_REQ,
                     master.node,
                     master.word(offset),
                     msg.value,
@@ -365,7 +380,7 @@ class CoherenceManager:
                 # — that is what triggered this flush — so the original
                 # request simply continues against it.
                 self._emit(
-                    MsgKind.WRITE_REQ,
+                    _WRITE_REQ,
                     dead,
                     msg.addr,
                     msg.value,
@@ -374,13 +389,13 @@ class CoherenceManager:
                     msg.origin,
                     msg.xid,
                 )
-        elif kind is MsgKind.RMW_REQ:
+        elif kind is _RMW_REQ:
             value = self._fabricated_rmw_failure(msg.op)
             if msg.origin == self.node_id:
                 self._deliver_rmw_result(msg.xid, value, True)
             else:
                 self._emit(
-                    MsgKind.RMW_RESP,
+                    _RMW_RESP,
                     msg.origin,
                     None,
                     value,
@@ -391,7 +406,7 @@ class CoherenceManager:
                     None,
                     True,
                 )
-        elif kind is MsgKind.READ_REQ:
+        elif kind is _READ_REQ:
             target = None
             if clist is not None:
                 master = clist.master
@@ -404,7 +419,7 @@ class CoherenceManager:
                             break
             if target is not None and target.node != self.node_id:
                 self._emit(
-                    MsgKind.READ_REQ,
+                    _READ_REQ,
                     target.node,
                     target.word(msg.addr.offset),
                     0,
@@ -421,7 +436,7 @@ class CoherenceManager:
                 # No surviving copy elsewhere: read from the restarted
                 # incarnation (alive by construction of the flush).
                 self._emit(
-                    MsgKind.READ_REQ,
+                    _READ_REQ,
                     dead,
                     msg.addr,
                     0,
@@ -431,9 +446,9 @@ class CoherenceManager:
                     msg.xid,
                 )
         elif kind in (
-            MsgKind.WRITE_ACK,
-            MsgKind.READ_RESP,
-            MsgKind.RMW_RESP,
+            _WRITE_ACK,
+            _READ_RESP,
+            _RMW_RESP,
         ):
             # A flushed *response* is not necessarily answering a dead
             # transaction: when a chain reached this node via a third
@@ -481,15 +496,15 @@ class CoherenceManager:
             if rec[1] == peer
         ]
         for xid, (kind, dst, addr, op, value) in stuck:
-            if kind is MsgKind.READ_REQ:
+            if kind is _READ_REQ:
                 if xid not in self._read_waiters:
                     self._remote_reqs.pop(xid, None)
                     continue
                 self.crash_redrives += 1
                 self._emit(
-                    MsgKind.READ_REQ, dst, addr, 0, None, 0, self.node_id, xid
+                    _READ_REQ, dst, addr, 0, None, 0, self.node_id, xid
                 )
-            elif kind is MsgKind.RMW_REQ:
+            elif kind is _RMW_REQ:
                 self._remote_reqs.pop(xid, None)
                 if xid in self._rmw_tokens:
                     self.crash_redrives += 1
@@ -502,7 +517,7 @@ class CoherenceManager:
                     continue
                 self.crash_redrives += 1
                 self._emit(
-                    MsgKind.WRITE_REQ,
+                    _WRITE_REQ,
                     dst,
                     addr,
                     value,
@@ -541,7 +556,7 @@ class CoherenceManager:
                 waiter(value)
         else:
             self._emit(
-                MsgKind.READ_RESP, origin, None, value, None, 0, -1, xid
+                _READ_RESP, origin, None, value, None, 0, -1, xid
             )
 
     @staticmethod
@@ -553,7 +568,7 @@ class CoherenceManager:
         empty (top bit clear), a cond-xchng sees lock-held (top bit
         clear means no store happened), and plain reads/fetches see 0.
         """
-        if op is OpCode.QUEUE:
+        if op is _QUEUE:
             return 1 << 31
         return 0
 
@@ -678,13 +693,13 @@ class CoherenceManager:
         self._read_waiters[xid] = on_value
         if self._crashable:
             self._remote_reqs[xid] = (
-                MsgKind.READ_REQ, addr.node, addr, None, 0
+                _READ_REQ, addr.node, addr, None, 0
             )
         self._work(
             self.params.cm_request_cycles,
             partial(
                 self._emit,
-                MsgKind.READ_REQ,
+                _READ_REQ,
                 addr.node,
                 addr,
                 0,
@@ -798,10 +813,10 @@ class CoherenceManager:
             self.counters.remote_writes += 1
             if self._crashable:
                 self._remote_reqs[xid] = (
-                    MsgKind.WRITE_REQ, addr.node, addr, None, value
+                    _WRITE_REQ, addr.node, addr, None, value
                 )
             self._emit(
-                MsgKind.WRITE_REQ,
+                _WRITE_REQ,
                 addr.node,
                 addr,
                 value,
@@ -825,14 +840,14 @@ class CoherenceManager:
             self.counters.writes_forwarded += 1
             if self._crashable:
                 self._remote_reqs[xid] = (
-                    MsgKind.WRITE_REQ,
+                    _WRITE_REQ,
                     master.node,
                     master.word(addr.offset),
                     None,
                     value,
                 )
             self._emit(
-                MsgKind.WRITE_REQ,
+                _WRITE_REQ,
                 master.node,
                 master.word(addr.offset),
                 value,
@@ -871,8 +886,8 @@ class CoherenceManager:
 
     def _propagation_kind(self) -> MsgKind:
         if self.params.coherence_protocol == "invalidate":
-            return MsgKind.INVALIDATE
-        return MsgKind.UPDATE
+            return _INVALIDATE
+        return _UPDATE
 
     def _write_word(self, page: int, offset: int, value: int) -> None:
         self.memory.write(page, offset, value)
@@ -946,7 +961,7 @@ class CoherenceManager:
         else:
             self.fabric.release(msg)
             self._emit(
-                MsgKind.INVALIDATE,
+                _INVALIDATE,
                 nxt.node,
                 nxt.word(addr.offset),
                 0,
@@ -1001,7 +1016,7 @@ class CoherenceManager:
         if origin == self.node_id:
             self._ack_local(xid, op)
         else:
-            self._emit(MsgKind.WRITE_ACK, origin, None, 0, op, 0, -1, xid)
+            self._emit(_WRITE_ACK, origin, None, 0, op, 0, -1, xid)
 
     def _ack_local(self, xid: int, op: Optional[OpCode]) -> None:
         if op is None:
@@ -1041,10 +1056,10 @@ class CoherenceManager:
             self.counters.rmw_remote += 1
             if self._crashable:
                 self._remote_reqs[xid] = (
-                    MsgKind.RMW_REQ, addr.node, addr, op, operand
+                    _RMW_REQ, addr.node, addr, op, operand
                 )
             self._emit(
-                MsgKind.RMW_REQ,
+                _RMW_REQ,
                 addr.node,
                 addr,
                 0,
@@ -1075,14 +1090,14 @@ class CoherenceManager:
             self.counters.rmw_remote += 1
             if self._crashable:
                 self._remote_reqs[xid] = (
-                    MsgKind.RMW_REQ,
+                    _RMW_REQ,
                     master.node,
                     master.word(addr.offset),
                     op,
                     operand,
                 )
             self._emit(
-                MsgKind.RMW_REQ,
+                _RMW_REQ,
                 master.node,
                 master.word(addr.offset),
                 0,
@@ -1141,7 +1156,7 @@ class CoherenceManager:
             self._deliver_rmw_result(xid, outcome.returned, chain_done)
         else:
             self._emit(
-                MsgKind.RMW_RESP,
+                _RMW_RESP,
                 origin,
                 None,
                 outcome.returned,
@@ -1238,7 +1253,7 @@ class CoherenceManager:
             return
         reliable = self._reliable
         if reliable is not None:
-            if msg.kind is MsgKind.NET_ACK:
+            if msg.kind is _NET_ACK:
                 reliable.on_net_ack(msg)
                 return
             if msg.seq >= 0:
@@ -1367,7 +1382,7 @@ class CoherenceManager:
                 self._finish_read(origin, xid, 0)
             else:
                 self._emit(
-                    MsgKind.READ_REQ,
+                    _READ_REQ,
                     master.node,
                     master.word(addr.offset),
                     0,
@@ -1388,7 +1403,7 @@ class CoherenceManager:
                 self._finish_read(origin, xid, 0)
                 return
             self._emit(
-                MsgKind.READ_REQ,
+                _READ_REQ,
                 master.node,
                 master.word(addr.offset),
                 0,
@@ -1411,7 +1426,7 @@ class CoherenceManager:
                 self._finish_read(origin, xid, 0)
                 return
             self._emit(
-                MsgKind.READ_REQ,
+                _READ_REQ,
                 master.node,
                 master.word(addr.offset),
                 0,
@@ -1461,7 +1476,7 @@ class CoherenceManager:
                 self.params.cm_forward_cycles,
                 partial(
                     self._emit,
-                    MsgKind.WRITE_REQ,
+                    _WRITE_REQ,
                     master.node,
                     master.word(offset),
                     value,
@@ -1491,7 +1506,7 @@ class CoherenceManager:
                 self._deliver_rmw_result(xid, value, True)
             else:
                 self._emit(
-                    MsgKind.RMW_RESP,
+                    _RMW_RESP,
                     origin,
                     None,
                     value,
@@ -1520,7 +1535,7 @@ class CoherenceManager:
                 self.params.cm_forward_cycles,
                 partial(
                     self._emit,
-                    MsgKind.RMW_REQ,
+                    _RMW_REQ,
                     master.node,
                     master.word(offset),
                     0,
@@ -1567,7 +1582,7 @@ class CoherenceManager:
             # mutated, so sharing it down the chain is safe).
             self.fabric.release(msg)
             self._emit(
-                MsgKind.UPDATE,
+                _UPDATE,
                 nxt.node,
                 nxt.word(addr.offset),
                 0,
@@ -1583,7 +1598,7 @@ class CoherenceManager:
         flush the TLB entry, and acknowledge the initiator."""
         self.shootdown_hook(msg.value)
         self._emit(
-            MsgKind.TLB_SHOOTDOWN_ACK,
+            _TLB_SHOOTDOWN_ACK,
             msg.origin,
             None,
             msg.value,
@@ -1612,7 +1627,7 @@ class CoherenceManager:
             if offset in invalid
         ]
         self._emit(
-            MsgKind.PAGE_COPY_DATA,
+            _PAGE_COPY_DATA,
             msg.origin,
             msg.addr,
             start,

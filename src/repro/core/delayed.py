@@ -41,13 +41,20 @@ class SlotState(Enum):
     READY = "ready"
 
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_FREE = SlotState.FREE
+_WAITING = SlotState.WAITING
+_READY = SlotState.READY
+
+
 class _Slot:
     __slots__ = ("index", "gen", "state", "op", "result", "waiter")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.gen = 0
-        self.state = SlotState.FREE
+        self.state = _FREE
         self.op: Optional[OpCode] = None
         self.result = 0
         self.waiter: Optional[Callback] = None
@@ -92,7 +99,7 @@ class DelayedOpsCache:
             )
         slot = self._slots[self._free.pop()]
         slot.gen += 1
-        slot.state = SlotState.WAITING
+        slot.state = _WAITING
         slot.op = op
         slot.result = 0
         slot.waiter = None
@@ -109,7 +116,7 @@ class DelayedOpsCache:
                 f"not node {self.node_id}"
             )
         slot = self._slots[token.slot]
-        if slot.gen != token.gen or slot.state is SlotState.FREE:
+        if slot.gen != token.gen or slot.state is _FREE:
             raise ThreadError(f"stale delayed-operation token {token}")
         return slot
 
@@ -123,11 +130,11 @@ class DelayedOpsCache:
         mean a protocol bug (two responses with distinct identities).
         """
         slot = self._slot_for(token)
-        if slot.state is SlotState.READY:
+        if slot.state is _READY:
             raise ProtocolError(
                 f"duplicate result for {token}", node=self.node_id
             )
-        slot.state = SlotState.READY
+        slot.state = _READY
         slot.result = value
         if slot.waiter is not None:
             waiter, slot.waiter = slot.waiter, None
@@ -136,22 +143,22 @@ class DelayedOpsCache:
     def poll(self, token: Token) -> Optional[int]:
         """The result if available (slot stays allocated), else None."""
         slot = self._slot_for(token)
-        if slot.state is SlotState.READY:
+        if slot.state is _READY:
             return slot.result
         return None
 
     def is_ready(self, token: Token) -> bool:
-        return self._slot_for(token).state is SlotState.READY
+        return self._slot_for(token).state is _READY
 
     def take(self, token: Token) -> int:
         """Consume a READY result, freeing the slot."""
         slot = self._slot_for(token)
-        if slot.state is not SlotState.READY:
+        if slot.state is not _READY:
             raise ProtocolError(
                 f"take() on unready slot for {token}", node=self.node_id
             )
         value = slot.result
-        slot.state = SlotState.FREE
+        slot.state = _FREE
         slot.op = None
         self._free.append(slot.index)
         self._slot_waiters.wake_one()
@@ -160,7 +167,7 @@ class DelayedOpsCache:
     def when_ready(self, token: Token, fn: Callback) -> None:
         """Run ``fn`` once the result for ``token`` is available."""
         slot = self._slot_for(token)
-        if slot.state is SlotState.READY:
+        if slot.state is _READY:
             fn()
             return
         if slot.waiter is not None:

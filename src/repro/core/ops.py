@@ -40,6 +40,17 @@ from repro.errors import ProtocolError
 ReadWord = Callable[[int], int]
 WordWrite = Tuple[int, int]
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_XCHNG = OpCode.XCHNG
+_COND_XCHNG = OpCode.COND_XCHNG
+_FETCH_ADD = OpCode.FETCH_ADD
+_FETCH_SET = OpCode.FETCH_SET
+_MIN_XCHNG = OpCode.MIN_XCHNG
+_DELAYED_READ = OpCode.DELAYED_READ
+_QUEUE = OpCode.QUEUE
+_DEQUEUE = OpCode.DEQUEUE
+
 
 @dataclass
 class OpOutcome:
@@ -86,32 +97,32 @@ def execute_op(
     operand &= WORD_MASK
     current = read(offset)
 
-    if op is OpCode.DELAYED_READ:
+    if op is _DELAYED_READ:
         return OpOutcome(returned=current)
 
-    if op is OpCode.XCHNG:
+    if op is _XCHNG:
         return OpOutcome(returned=current, writes=[(offset, operand & VALUE_MASK_30)])
 
-    if op is OpCode.COND_XCHNG:
+    if op is _COND_XCHNG:
         if current & TOP_BIT:
             return OpOutcome(
                 returned=current, writes=[(offset, operand & VALUE_MASK_30)]
             )
         return OpOutcome(returned=current)
 
-    if op is OpCode.FETCH_ADD:
+    if op is _FETCH_ADD:
         new = (current + _as_signed32(operand)) & WORD_MASK
         return OpOutcome(returned=current, writes=[(offset, new)])
 
-    if op is OpCode.FETCH_SET:
+    if op is _FETCH_SET:
         return OpOutcome(returned=current, writes=[(offset, current | TOP_BIT)])
 
-    if op is OpCode.MIN_XCHNG:
+    if op is _MIN_XCHNG:
         if operand < current:
             return OpOutcome(returned=current, writes=[(offset, operand)])
         return OpOutcome(returned=current)
 
-    if op is OpCode.QUEUE:
+    if op is _QUEUE:
         tail = read(offset)
         _check_ring_offset(tail, ring_base, page_words)
         word = read(tail)
@@ -122,7 +133,7 @@ def execute_op(
         nxt = _ring_next(tail, ring_base, page_words)
         return OpOutcome(returned=word, writes=[(tail, stored), (offset, nxt)])
 
-    if op is OpCode.DEQUEUE:
+    if op is _DEQUEUE:
         head = read(offset)
         _check_ring_offset(head, ring_base, page_words)
         word = read(head)

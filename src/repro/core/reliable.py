@@ -70,6 +70,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.errors import NodeUnreachable
 from repro.network.message import Message, MsgKind
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_NET_ACK = MsgKind.NET_ACK
+
 
 class _Pending:
     """One unacknowledged outgoing message."""
@@ -338,7 +342,7 @@ class ReliableChannels:
                 dispatch(accepted)
         fabric.send(
             Message(
-                kind=MsgKind.NET_ACK,
+                kind=_NET_ACK,
                 src=self.node_id,
                 dst=src,
                 value=ch.expected - 1,

@@ -233,6 +233,21 @@ class LocalMemory:
         for offset, value in writes:
             storage[offset] = value & WORD_MASK
 
+    def write_run(self, page: int, offset: int, values: List[int]) -> None:
+        """Write ``values`` to consecutive words of frame ``page`` from
+        ``offset`` with one slice assignment (set-up bulk loads)."""
+        end = offset + len(values)
+        if not 0 <= offset <= end <= self.page_words:
+            raise AddressError(
+                f"run of {len(values)} words at offset {offset} overruns "
+                f"the {self.page_words}-word frame"
+            )
+        storage = self._storage.get(page)
+        if storage is None:
+            self._check(page)
+            storage = self._materialize(page)
+        storage[offset:end] = array(_TYPECODE, [v & WORD_MASK for v in values])
+
     def load_page(self, page: int, values: List[int]) -> None:
         """Overwrite an entire frame (used by the page-copy engine)."""
         self._check(page)

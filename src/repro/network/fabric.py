@@ -37,6 +37,12 @@ from repro.sim.engine import Engine
 
 Receiver = Callable[[Message], None]
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_UPDATE = MsgKind.UPDATE
+_INVALIDATE = MsgKind.INVALIDATE
+_PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
+
 
 class FabricStats:
     """Machine-wide network traffic counters.
@@ -271,13 +277,13 @@ class Fabric:
         # variable-size kinds.
         kind = msg.kind
         size = kind.base_bytes
-        if kind is MsgKind.PAGE_COPY_DATA:
+        if kind is _PAGE_COPY_DATA:
             size += 4 * len(msg.words)
-        elif kind is MsgKind.UPDATE:
+        elif kind is _UPDATE:
             n = len(msg.writes)
             if n > 1:
                 size += 8 * (n - 1)
-        elif kind is MsgKind.INVALIDATE:
+        elif kind is _INVALIDATE:
             n = len(msg.writes)
             if n > 1:
                 size += 4 * (n - 1)

@@ -97,6 +97,12 @@ N_KINDS = len(MsgKind)
 #: decode table of the boundary codec (``repro.parallel.codec``).
 KINDS_BY_IDX = tuple(MsgKind)
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_UPDATE = MsgKind.UPDATE
+_INVALIDATE = MsgKind.INVALIDATE
+_PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
+
 #: Stable field enumeration of :class:`Message`, in wire order, for the
 #: zero-pickle boundary codec.  This tuple is a versioned contract:
 #: ``repro.parallel.codec`` packs exactly these fields in exactly this
@@ -170,11 +176,11 @@ class Message:
         """Bytes this message occupies on each link it crosses."""
         kind = self.kind
         base = kind.base_bytes
-        if kind is MsgKind.PAGE_COPY_DATA:
+        if kind is _PAGE_COPY_DATA:
             return base + 4 * len(self.words)
-        if kind is MsgKind.UPDATE and len(self.writes) > 1:
+        if kind is _UPDATE and len(self.writes) > 1:
             return base + 8 * (len(self.writes) - 1)
-        if kind is MsgKind.INVALIDATE and len(self.writes) > 1:
+        if kind is _INVALIDATE and len(self.writes) > 1:
             return base + 4 * (len(self.writes) - 1)
         return base
 

@@ -96,6 +96,12 @@ class DirectMappedCache:
             tags[index] = None
             self.snoop_invalidates += 1
 
+    def snoop_run(self, page: int, offset: int, count: int) -> None:
+        """:meth:`snoop` each of ``count`` words from ``offset``, in order."""
+        if self._tags is not None:
+            for i in range(offset, offset + count):
+                self.snoop(page, i, 0)
+
     def flush(self) -> None:
         """Invalidate the whole cache."""
         self._tags = None

@@ -51,6 +51,14 @@ class ThreadStatus(Enum):
     DONE = "done"
 
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_READY = ThreadStatus.READY
+_RUNNING = ThreadStatus.RUNNING
+_BLOCKED = ThreadStatus.BLOCKED
+_DONE = ThreadStatus.DONE
+
+
 class SimThread:
     """One simulated thread context.
 
@@ -92,7 +100,7 @@ class SimThread:
         self.tid = next(_tids) if tid is None else tid
         self.name = name
         self.gen = gen
-        self.status = ThreadStatus.READY
+        self.status = _READY
         self.continuation: Optional[Callable[[], None]] = None
         self.stall_kind = ""
         self.stall_start = 0
@@ -146,7 +154,7 @@ class CPU:
 
     @property
     def all_done(self) -> bool:
-        return all(t.status is ThreadStatus.DONE for t in self.threads)
+        return all(t.status is _DONE for t in self.threads)
 
     def kill_all(self) -> List[SimThread]:
         """Crash support: terminate every non-finished thread context.
@@ -160,10 +168,10 @@ class CPU:
         """
         killed = []
         for t in self.threads:
-            if t.status is ThreadStatus.DONE:
+            if t.status is _DONE:
                 continue
             t.gen.close()
-            t.status = ThreadStatus.DONE
+            t.status = _DONE
             t.continuation = None
             killed.append(t)
         self._current = None
@@ -174,10 +182,10 @@ class CPU:
         """Human-readable description of non-finished threads."""
         lines = []
         for t in self.threads:
-            if t.status is ThreadStatus.DONE:
+            if t.status is _DONE:
                 continue
             detail = f" on {t.stall_kind!r} since cycle {t.stall_start}" if (
-                t.status is ThreadStatus.BLOCKED
+                t.status is _BLOCKED
             ) else ""
             lines.append(
                 f"node {self.node.node_id} thread {t.name}#{t.tid}: "
@@ -199,14 +207,14 @@ class CPU:
         thread = None
         for i in range(n):
             t = threads[(rr + i) % n]
-            if t.status is ThreadStatus.READY:
+            if t.status is _READY:
                 self._rr = (rr + i + 1) % n
                 thread = t
                 break
         if thread is None:
             return
         self._current = thread
-        thread.status = ThreadStatus.RUNNING
+        thread.status = _RUNNING
         cont = thread.continuation
         thread.continuation = None
         assert cont is not None
@@ -224,7 +232,7 @@ class CPU:
 
     def _block(self, thread: SimThread, kind: str) -> None:
         assert self._current is thread
-        thread.status = ThreadStatus.BLOCKED
+        thread.status = _BLOCKED
         thread.stall_kind = kind
         thread.stall_start = self.engine._now
         self._current = None
@@ -252,11 +260,11 @@ class CPU:
         run ``thread.then``.
         """
         status = thread.status
-        if status is ThreadStatus.RUNNING:
+        if status is _RUNNING:
             thread.value = value
             thread.completed = True
             return
-        if status is ThreadStatus.DONE:
+        if status is _DONE:
             return  # killed by a node crash while the wakeup was in flight
         thread.value = value
         stall = self.engine._now - thread.stall_start
@@ -275,7 +283,7 @@ class CPU:
         else:
             field = f"{kind}_stall_cycles"
             setattr(counters, field, getattr(counters, field) + stall)
-        thread.status = ThreadStatus.READY
+        thread.status = _READY
         thread.continuation = thread.then
         self._try_dispatch()
 
@@ -298,13 +306,13 @@ class CPU:
     def _step(self, thread: SimThread) -> None:
         """Send ``thread.value`` into the generator and start the next
         request (``thread.resume``)."""
-        if thread.status is ThreadStatus.DONE:
+        if thread.status is _DONE:
             return  # killed by a node crash while the continuation was queued
         assert self._current is thread
         try:
             request = thread.gen.send(thread.value)
         except StopIteration as stop:
-            thread.status = ThreadStatus.DONE
+            thread.status = _DONE
             thread.result = stop.value
             self.counters.threads_finished += 1
             self._current = None
@@ -355,7 +363,7 @@ class CPU:
             self._wait(thread, "fence")
         elif cls is Yield:
             thread.value = None
-            thread.status = ThreadStatus.READY
+            thread.status = _READY
             thread.continuation = thread.resume
             self._current = None
             self._try_dispatch()
@@ -386,7 +394,7 @@ class CPU:
         if cls is AwaitResult:
             self._busy(self.params.read_result_cycles, thread.resume)
             return
-        if thread.status is ThreadStatus.DONE:
+        if thread.status is _DONE:
             return  # killed by a node crash during the charge
         paddr = thread.addr
         node = self.node

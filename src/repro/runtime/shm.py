@@ -143,10 +143,32 @@ class SharedMemory:
 
     # ------------------------------------------------------------------
     def load(self, segment: Segment, values: Iterable[int], at: int = 0) -> None:
-        """Bulk-initialise segment contents before the run (no sim time)."""
+        """Bulk-initialise segment contents before the run (no sim time).
+
+        Leaves every copy and cache as a ``machine.poke`` per word would,
+        but writes each page run into each copy with one slice
+        assignment.  The whole range is checked first: an out-of-range
+        load raises :class:`ConfigError` and writes nothing.
+        """
+        values = list(values)
+        if not values:
+            return
+        segment.addr(at)
+        segment.addr(at + len(values) - 1)
         machine = self._machine
-        for i, value in enumerate(values):
-            machine.poke(segment.addr(at + i), value)
+        page_words = machine.params.page_words
+        nodes = machine.nodes
+        copies_of = machine.os.copies_of
+        start = segment.base + at
+        done = 0
+        while done < len(values):
+            vpage, offset = divmod(start + done, page_words)
+            run = values[done : done + page_words - offset]
+            for copy in copies_of(vpage):
+                node = nodes[copy.node]
+                node.memory.write_run(copy.page, offset, run)
+                node.cache.snoop_run(copy.page, offset, len(run))
+            done += len(run)
 
     def dump(self, segment: Segment, start: int = 0, count: Optional[int] = None) -> List[int]:
         """Read segment contents from the master copies (no sim time)."""

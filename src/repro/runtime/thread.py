@@ -29,6 +29,17 @@ from repro.runtime.shm import QueueHandle
 
 Gen = Generator[Any, Any, Any]
 
+# Enum members bound once at import: an ``Enum.MEMBER`` load costs
+# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
+_XCHNG = OpCode.XCHNG
+_COND_XCHNG = OpCode.COND_XCHNG
+_FETCH_ADD = OpCode.FETCH_ADD
+_FETCH_SET = OpCode.FETCH_SET
+_MIN_XCHNG = OpCode.MIN_XCHNG
+_DELAYED_READ = OpCode.DELAYED_READ
+_QUEUE = OpCode.QUEUE
+_DEQUEUE = OpCode.DEQUEUE
+
 
 class ThreadCtx:
     """Handle passed to every simulated thread."""
@@ -82,28 +93,28 @@ class ThreadCtx:
 
     # Issue helpers, one per Table 3-1 operation.
     def issue_xchng(self, vaddr: int, value: int) -> Gen:
-        return (yield Issue(OpCode.XCHNG, vaddr, value))
+        return (yield Issue(_XCHNG, vaddr, value))
 
     def issue_cond_xchng(self, vaddr: int, value: int) -> Gen:
-        return (yield Issue(OpCode.COND_XCHNG, vaddr, value))
+        return (yield Issue(_COND_XCHNG, vaddr, value))
 
     def issue_fetch_add(self, vaddr: int, delta: int) -> Gen:
-        return (yield Issue(OpCode.FETCH_ADD, vaddr, delta & 0xFFFFFFFF))
+        return (yield Issue(_FETCH_ADD, vaddr, delta & 0xFFFFFFFF))
 
     def issue_fetch_set(self, vaddr: int) -> Gen:
-        return (yield Issue(OpCode.FETCH_SET, vaddr))
+        return (yield Issue(_FETCH_SET, vaddr))
 
     def issue_min_xchng(self, vaddr: int, value: int) -> Gen:
-        return (yield Issue(OpCode.MIN_XCHNG, vaddr, value))
+        return (yield Issue(_MIN_XCHNG, vaddr, value))
 
     def issue_delayed_read(self, vaddr: int) -> Gen:
-        return (yield Issue(OpCode.DELAYED_READ, vaddr))
+        return (yield Issue(_DELAYED_READ, vaddr))
 
     def issue_enqueue(self, queue: QueueHandle, value: int) -> Gen:
-        return (yield Issue(OpCode.QUEUE, queue.tail_va, value))
+        return (yield Issue(_QUEUE, queue.tail_va, value))
 
     def issue_dequeue(self, queue: QueueHandle) -> Gen:
-        return (yield Issue(OpCode.DEQUEUE, queue.head_va))
+        return (yield Issue(_DEQUEUE, queue.head_va))
 
     # ------------------------------------------------------------------
     # Blocking read-modify-write conveniences (issue + immediate verify).
@@ -114,31 +125,31 @@ class ThreadCtx:
 
     def xchng(self, vaddr: int, value: int) -> Gen:
         """Swap: returns the old value, stores ``value`` (30-bit)."""
-        return (yield from self._blocking(OpCode.XCHNG, vaddr, value))
+        return (yield from self._blocking(_XCHNG, vaddr, value))
 
     def cond_xchng(self, vaddr: int, value: int) -> Gen:
         """Store ``value`` only if the old value's top bit is set."""
-        return (yield from self._blocking(OpCode.COND_XCHNG, vaddr, value))
+        return (yield from self._blocking(_COND_XCHNG, vaddr, value))
 
     def fetch_add(self, vaddr: int, delta: int) -> Gen:
         """Atomic add; returns the old value."""
         return (
             yield from self._blocking(
-                OpCode.FETCH_ADD, vaddr, delta & 0xFFFFFFFF
+                _FETCH_ADD, vaddr, delta & 0xFFFFFFFF
             )
         )
 
     def fetch_set(self, vaddr: int) -> Gen:
         """Set the top bit; returns the old value (test-and-set)."""
-        return (yield from self._blocking(OpCode.FETCH_SET, vaddr))
+        return (yield from self._blocking(_FETCH_SET, vaddr))
 
     def min_xchng(self, vaddr: int, value: int) -> Gen:
         """Store ``value`` if smaller; returns the old value."""
-        return (yield from self._blocking(OpCode.MIN_XCHNG, vaddr, value))
+        return (yield from self._blocking(_MIN_XCHNG, vaddr, value))
 
     def delayed_read(self, vaddr: int) -> Gen:
         """Read via the delayed-operation path (coherent with RMWs)."""
-        return (yield from self._blocking(OpCode.DELAYED_READ, vaddr))
+        return (yield from self._blocking(_DELAYED_READ, vaddr))
 
     def enqueue(self, queue: QueueHandle, value: int) -> Gen:
         """One hardware queue insert; returns the old tail word.
@@ -146,7 +157,7 @@ class ThreadCtx:
         Top bit set in the return value means the queue was full and
         nothing was stored.
         """
-        return (yield from self._blocking(OpCode.QUEUE, queue.tail_va, value))
+        return (yield from self._blocking(_QUEUE, queue.tail_va, value))
 
     def dequeue(self, queue: QueueHandle) -> Gen:
         """One hardware queue remove; returns the head word.
@@ -154,4 +165,4 @@ class ThreadCtx:
         Top bit set means a valid element (mask with 0x7FFFFFFF); top bit
         clear means the queue was empty.
         """
-        return (yield from self._blocking(OpCode.DEQUEUE, queue.head_va))
+        return (yield from self._blocking(_DEQUEUE, queue.head_va))

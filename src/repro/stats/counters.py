@@ -39,7 +39,9 @@ class NodeCounters:
     cache_misses: int = 0
 
     # -- delayed operations ------------------------------------------------
-    rmw_issued: Dict[OpCode, int] = field(default_factory=dict)
+    #: Delayed operations issued, indexed by ``OpCode.idx``: a dense list,
+    #: because hashing an enum member is a Python-level call.
+    rmw_counts: List[int] = field(default_factory=lambda: [0] * len(OpCode))
     rmw_local: int = 0
     rmw_remote: int = 0
     fences: int = 0
@@ -70,7 +72,13 @@ class NodeCounters:
 
     # ------------------------------------------------------------------
     def count_rmw(self, op: OpCode) -> None:
-        self.rmw_issued[op] = self.rmw_issued.get(op, 0) + 1
+        self.rmw_counts[op.idx] += 1
+
+    @property
+    def rmw_issued(self) -> Dict[OpCode, int]:
+        """Delayed operations issued per opcode (a fresh dict; issued
+        opcodes only)."""
+        return {op: n for op, n in zip(OpCode, self.rmw_counts) if n}
 
     @property
     def total_reads(self) -> int:

@@ -23,16 +23,14 @@ coherence oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.params import OpCode
 from repro.network.message import Message, MsgKind
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One recorded message send."""
+class TraceEntry(NamedTuple):
+    """One recorded message send (immutable; ``_replace`` copies one)."""
 
     time: int
     kind: MsgKind
@@ -166,29 +164,33 @@ class ProtocolTrace:
         # from record() mid-iteration in code that then reads .entries.
         self._raw = []
         append = self._entries.append
-        # Positional, in field order: matching sixteen keywords cost
-        # about a third of each entry's construction, and a faulty stress
-        # run materializes one entry per send.
+        # One C-level tuple build per entry, all sixteen fields in order:
+        # a faulty stress run materializes one entry per send, and the
+        # generated ``TraceEntry.__new__`` takes twice as long.
+        new = tuple.__new__
         for time, msg, arrive, fate in raw:
             addr = msg.addr
             append(
-                TraceEntry(
-                    time,
-                    msg.kind,
-                    msg.src,
-                    msg.dst,
-                    addr.page if addr else None,
-                    addr.offset if addr else None,
-                    msg.origin,
-                    msg.xid,
-                    msg.value,
-                    arrive,
-                    msg.op,
-                    tuple(msg.writes),
-                    msg.chain_done,
-                    msg.seq,
-                    msg.msg_id,
-                    fate,
+                new(
+                    TraceEntry,
+                    (
+                        time,
+                        msg.kind,
+                        msg.src,
+                        msg.dst,
+                        addr.page if addr else None,
+                        addr.offset if addr else None,
+                        msg.origin,
+                        msg.xid,
+                        msg.value,
+                        arrive,
+                        msg.op,
+                        tuple(msg.writes),
+                        msg.chain_done,
+                        msg.seq,
+                        msg.msg_id,
+                        fate,
+                    ),
                 )
             )
 

@@ -103,6 +103,16 @@ class TestLocalMemory:
         with pytest.raises(AddressError):
             mem.load_page(a, [1, 2])
 
+    def test_write_run_stays_inside_its_frame(self):
+        mem = LocalMemory(0, page_words=4)
+        a = mem.allocate_frame()
+        mem.write_run(a, 1, [7, -1])
+        assert mem.snapshot_page(a) == [0, 7, 0xFFFF_FFFF, 0]
+        for offset, run in ((3, [1, 2]), (-1, [1])):
+            with pytest.raises(AddressError):
+                mem.write_run(a, offset, run)
+        assert mem.snapshot_page(a) == [0, 7, 0xFFFF_FFFF, 0]
+
 
 class TestTLB:
     def test_hit_and_miss_counting(self):

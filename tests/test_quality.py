@@ -1,5 +1,8 @@
-"""Repository-quality guards: determinism, docstrings, small-page edges."""
+"""Repository-quality guards: determinism, docstrings, small-page edges,
+hot-path rules."""
 
+import ast
+import enum
 import importlib
 import inspect
 import pkgutil
@@ -95,6 +98,70 @@ class TestDocumentation:
             if not (module.__doc__ or "").strip():
                 missing.append(module.__name__)
         assert not missing, f"undocumented modules: {missing}"
+
+
+#: Modules the event loop runs on every simulated message or step.
+PER_EVENT_MODULES = (
+    "repro.node.cpu",
+    "repro.runtime.thread",
+    "repro.core.coherence",
+    "repro.core.delayed",
+    "repro.core.ops",
+    "repro.core.reliable",
+    "repro.network.fabric",
+    "repro.network.message",
+    "repro.check.invariants",
+    "repro.check.oracle",
+    "repro.apps.sssp",
+    "repro.apps.beam",
+)
+
+
+def _enum_member_loads(source: str, namespace: dict) -> list:
+    """``Name.ATTR`` loads inside function bodies whose ``Name`` is an
+    ``enum.Enum`` subclass in ``namespace``, as ``"line: Name.ATTR"``."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            in_function = True
+        elif (
+            in_function
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+        ):
+            obj = namespace.get(node.value.id)
+            if isinstance(obj, type) and issubclass(obj, enum.Enum):
+                found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+class TestHotPathRules:
+    """DESIGN.md, "Hot-path rules": a function body on the per-event path
+    never loads ``Enum.MEMBER`` (EnumType's slow attribute hook) but a
+    module alias bound at import."""
+
+    @pytest.mark.parametrize("name", PER_EVENT_MODULES)
+    def test_no_enum_member_loads_in_function_bodies(self, name):
+        module = importlib.import_module(name)
+        source = inspect.getsource(module)
+        assert _enum_member_loads(source, vars(module)) == []
+
+    def test_the_guard_sees_a_member_load(self):
+        source = (
+            "_A = Colour.RED\n"
+            "def f(c):\n"
+            "    return c is Colour.RED or c is _A or (lambda: Colour.BLUE)\n"
+        )
+        colour = enum.Enum("Colour", "RED BLUE")
+        assert _enum_member_loads(source, {"Colour": colour}) == [
+            "3: Colour.RED", "3: Colour.BLUE",
+        ]
 
 
 class TestSmallPageMachines:

@@ -1,12 +1,14 @@
 """Tests for the shared-memory allocator and the run reports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.params import PAPER_PARAMS
 from repro.errors import ConfigError
 from repro.machine import PlusMachine
 from repro.stats.report import format_table
 
+from tests.conftest import SMALL_PAGES
 from tests.helpers import run_threads
 
 
@@ -45,6 +47,60 @@ class TestSharedMemory:
         machine4.shm.load(seg, [5, 6, 7], at=2)
         assert machine4.shm.dump(seg, start=2, count=3) == [5, 6, 7]
         assert machine4.shm.dump(seg)[:2] == [0, 0]
+
+    def test_out_of_range_load_raises_and_writes_nothing(self, machine4):
+        seg = machine4.shm.alloc(8, home=2, replicas=[1])
+        for at in (6, -1):
+            with pytest.raises(ConfigError):
+                machine4.shm.load(seg, [1, 2, 3], at=at)
+        assert machine4.shm.dump(seg) == [0] * 8
+        assert [machine4.peek_copy(seg.addr(i), 1) for i in range(8)] == [0] * 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bulk_load_equals_per_word_poke(self, data):
+        """Across page boundaries, into every copy, on warmed caches:
+        memory and cache state as if each word were poked in turn."""
+        page_words = SMALL_PAGES.page_words
+        policy = data.draw(st.sampled_from(["update", "invalidate"]))
+        nwords = data.draw(st.integers(1, 3 * page_words))
+        at = data.draw(st.integers(0, nwords - 1))
+        values = data.draw(
+            st.lists(st.integers(-(1 << 33), 1 << 33), max_size=nwords - at)
+        )
+        replicas = data.draw(st.lists(st.integers(1, 3), max_size=3, unique=True))
+        warm = data.draw(st.lists(st.integers(0, nwords - 1), max_size=16))
+
+        def build():
+            machine = PlusMachine(
+                n_nodes=4, params=SMALL_PAGES, snoop_policy=policy
+            )
+            seg = machine.shm.alloc(nwords, home=0, replicas=replicas)
+            for index in warm:
+                vpage, offset = divmod(seg.addr(index), page_words)
+                for copy in machine.os.copies_of(vpage):
+                    cache = machine.nodes[copy.node].cache
+                    cache.read_cycles(copy.page, offset)
+            return machine, seg
+
+        def state(machine, seg):
+            words = [
+                (copy.node, machine.nodes[copy.node].memory.snapshot_page(copy.page))
+                for vpage in seg.vpages
+                for copy in machine.os.copies_of(vpage)
+            ]
+            caches = [
+                (n.cache.snoop_updates, n.cache.snoop_invalidates, n.cache._tags)
+                for n in machine.nodes
+            ]
+            return words, caches
+
+        bulk, seg = build()
+        bulk.shm.load(seg, values, at=at)
+        poked, seg = build()
+        for i, value in enumerate(values):
+            poked.poke(seg.addr(at + i), value)
+        assert state(bulk, seg) == state(poked, seg)
 
     def test_alloc_queue_initialises_ring_pointers(self, machine4):
         queue = machine4.shm.alloc_queue(home=3)

@@ -303,3 +303,71 @@ class TestLazyMaterialization:
         combined = trace.entries
         assert combined[: len(first)] == first
         assert len(combined) == 2 * len(first)
+
+
+class TestEntryContract:
+    """What a :class:`TraceEntry` holds, field by field, and how it behaves."""
+
+    FIELDS = (
+        "time", "kind", "src", "dst", "page", "offset", "origin", "xid",
+        "value", "arrive", "op", "writes", "chain_done", "seq", "msg_id",
+        "fate",
+    )
+    #: sha256 over every field of every entry of faulty stress seed 5
+    #: (21 drops, 48 dups).  It covers the fields ``describe()`` leaves
+    #: out (``value``, ``writes``, ``chain_done``, ``msg_id``), so a
+    #: change to how entries are built cannot hide behind the transcript.
+    SEED5_DIGEST = (
+        1953, "0eb5feac5a1515e05355dc804da383aaf3cd8c4db3e75a821a311c2dfcac5c16"
+    )
+
+    @staticmethod
+    def _faulty_entries():
+        from repro.check.stress import StressConfig, build_machine
+
+        machine, monitor, spawn_plans = build_machine(
+            StressConfig.from_seed(5, faults=True)
+        )
+        for node_id, program in spawn_plans:
+            machine.spawn(node_id, program)
+        machine.run()
+        monitor.uninstall()
+        return monitor.entries
+
+    def test_every_field_of_a_faulty_capture_is_pinned(self):
+        import hashlib
+        from enum import Enum
+
+        entries = self._faulty_entries()
+        fates = {e.fate for e in entries}
+        assert {"drop", "sent+dup"} <= fates
+        assert any(e.chain_done for e in entries)
+        assert any(e.writes for e in entries)
+        assert any(e.op is not None for e in entries)
+        digest = hashlib.sha256()
+        for e in entries:
+            row = tuple(
+                v.value if isinstance(v, Enum) else v
+                for v in (getattr(e, name) for name in self.FIELDS)
+            )
+            digest.update(repr(row).encode())
+        assert (len(entries), digest.hexdigest()) == self.SEED5_DIGEST
+
+    def test_field_order_and_defaults(self):
+        from repro.stats.trace import TraceEntry
+
+        assert TraceEntry._fields == self.FIELDS
+        e = TraceEntry(0, MsgKind.READ_REQ, 1, 2, None, None, 1, 7, 0)
+        assert (e.arrive, e.op, e.writes, e.chain_done) == (-1, None, (), False)
+        assert (e.seq, e.msg_id, e.fate) == (-1, -1, "sent")
+
+    def test_entries_are_immutable_and_replaceable(self):
+        import pytest
+
+        e = self._faulty_entries()[0]
+        with pytest.raises(AttributeError):
+            e.arrive = 5
+        moved = e._replace(arrive=e.arrive + 3)
+        assert moved.arrive == e.arrive + 3
+        assert moved._replace(arrive=e.arrive) == e
+        assert type(moved) is type(e)
