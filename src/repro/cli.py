@@ -15,7 +15,6 @@ Usage::
     python -m repro sweep sssp --nodes 4,8,16 --copies 1,2,4 [--jobs N]
     python -m repro sweep beam --nodes 8 --modes blocking,delayed [--jobs N]
     python -m repro sweep --placement --nodes 256 [--jobs N]
-    python -m repro profile sssp|beam|check|placement [--top 25]
 
 Each command builds the workload, runs the simulation(s), verifies the
 results against the sequential oracle, and prints the paper-style table.
@@ -652,152 +651,6 @@ def _cmd_ledger(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_profile(args) -> int:
-    """Profile one workload under cProfile and write ``PROFILE.json``.
-
-    The workloads are the perf-harness ones (``benchmarks/bench_perf.py``)
-    so a profile maps directly onto the committed throughput numbers.
-    Events/sec measured here includes profiler overhead — use it to rank
-    hot functions, not to compare against ``BENCH_perf.json``.
-    """
-    import cProfile
-    import io
-    import json
-    import pstats
-    import time
-    from pathlib import Path
-
-    smoke = args.smoke
-
-    def run_sssp():
-        from repro.apps.graphs import dijkstra, geometric_graph
-        from repro.apps.sssp import SSSPApp, SSSPConfig
-
-        n = 200 if smoke else 800
-        graph = geometric_graph(
-            n, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-        )
-        reference = dijkstra(graph, 0)
-        machine = PlusMachine(n_nodes=16)
-        app = SSSPApp(
-            machine, graph, SSSPConfig(copies=3, replicate_queues=True)
-        )
-        app.spawn_workers()
-        machine.run()
-        if app.distances() != reference:
-            raise AssertionError("profile workload diverged from Dijkstra")
-        return machine
-
-    def run_beam():
-        from repro.apps.beam import BeamConfig, BeamSearchApp, params_for
-        from repro.apps.graphs import layered_lattice
-
-        layers, width = (6, 48) if smoke else (12, 128)
-        lattice = layered_lattice(
-            n_layers=layers,
-            width=width,
-            branching=3,
-            seed=5,
-            hot_fraction=0.6,
-        )
-        config = BeamConfig(beam=60, sync_mode="delayed")
-        machine = PlusMachine(n_nodes=16, params=params_for(config))
-        app = BeamSearchApp(machine, lattice, config)
-        app.spawn_workers()
-        machine.run()
-        return machine
-
-    def run_check():
-        from repro.check import run_seeds
-
-        results = run_seeds(args.seeds, keep_going=True)
-        bad = [r for r in results if not r.ok]
-        if bad:
-            raise AssertionError(
-                f"{len(bad)} stress seed(s) failed under the profiler"
-            )
-        return None
-
-    def run_placement():
-        from repro.apps.placement import (
-            PlacementApp,
-            PlacementConfig,
-            _install_policy,
-        )
-        from repro.core.params import PAPER_PARAMS
-
-        nodes, requests = (16, 120) if smoke else (64, 400)
-        config = PlacementConfig(
-            policy="migrate", pages=128, requests=requests
-        )
-        machine = PlusMachine(
-            n_nodes=nodes, params=PAPER_PARAMS.evolved(topology="torus")
-        )
-        _install_policy(machine, config)
-        app = PlacementApp(machine, config)
-        app.spawn_workers()
-        machine.run()
-        return machine
-
-    runner = {
-        "sssp": run_sssp,
-        "beam": run_beam,
-        "check": run_check,
-        "placement": run_placement,
-    }[args.workload]
-
-    profiler = cProfile.Profile()
-    t0 = time.perf_counter()
-    profiler.enable()
-    machine = runner()
-    profiler.disable()
-    wall = time.perf_counter() - t0
-
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    buf = io.StringIO()
-    stats.stream = buf
-    stats.print_stats(args.top)
-    print(buf.getvalue().rstrip())
-
-    # The same top-N rows, machine-readable for the JSON artifact.
-    rows = []
-    _width, funcs = stats.get_print_list([args.top])
-    for func in funcs:
-        cc, nc, tt, ct, _callers = stats.stats[func]
-        filename, lineno, name = func
-        rows.append(
-            {
-                "function": f"{filename}:{lineno}({name})",
-                "ncalls": nc,
-                "primitive_calls": cc,
-                "tottime_s": round(tt, 6),
-                "cumtime_s": round(ct, 6),
-            }
-        )
-
-    artifact = {
-        "workload": args.workload,
-        "smoke": bool(smoke),
-        "wall_s": round(wall, 4),
-        "sort": "cumulative",
-        "top": rows,
-    }
-    if machine is not None:
-        events = machine.engine.events_fired
-        artifact.update(
-            events=events,
-            events_per_sec=round(events / wall) if wall else 0,
-            cycles=machine.engine.now,
-            messages=machine.fabric.stats.total_messages,
-        )
-    else:
-        artifact["seeds"] = args.seeds
-    Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -985,7 +838,6 @@ COMMANDS = {
     "check": (_cmd_check, "coherence oracle over seeded stress runs"),
     "ledger": (_cmd_ledger, "2PC bank-ledger crash/recovery sweep"),
     "sweep": (_cmd_sweep, "parameter-grid sweep across worker processes"),
-    "profile": (_cmd_profile, "cProfile one workload; writes PROFILE.json"),
     "serve": (_cmd_serve, "run the simulation daemon (JSON lines/socket)"),
     "submit": (_cmd_submit, "submit one request to a running daemon"),
 }
@@ -1446,39 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="print only the result payload, canonical JSON "
                 "(byte-comparable across submits)",
-            )
-        elif name == "profile":
-            p.add_argument(
-                "workload",
-                choices=("sssp", "beam", "check", "placement"),
-                help="which workload to run under cProfile",
-            )
-            p.add_argument(
-                "--top",
-                type=int,
-                default=25,
-                metavar="N",
-                help="functions to show/record, by cumulative time "
-                "(default 25)",
-            )
-            p.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI-sized workload (sssp 200 vertices, beam 6x48)",
-            )
-            p.add_argument(
-                "--seeds",
-                type=int,
-                default=25,
-                help="check: number of stress seeds to profile "
-                "(default 25)",
-            )
-            p.add_argument(
-                "--out",
-                type=str,
-                default="PROFILE.json",
-                metavar="PATH",
-                help="JSON artifact path (default PROFILE.json)",
             )
     return parser
 

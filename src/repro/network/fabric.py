@@ -37,12 +37,6 @@ from repro.sim.engine import Engine
 
 Receiver = Callable[[Message], None]
 
-# Enum members bound once at import: an ``Enum.MEMBER`` load costs
-# ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
-_UPDATE = MsgKind.UPDATE
-_INVALIDATE = MsgKind.INVALIDATE
-_PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
-
 
 class FabricStats:
     """Machine-wide network traffic counters.
@@ -272,21 +266,7 @@ class Fabric:
 
         engine = self.engine
         now = engine._now
-        # ``Message.size_bytes`` inlined (this is the per-send path):
-        # base wire size per kind, plus payload bytes for the three
-        # variable-size kinds.
-        kind = msg.kind
-        size = kind.base_bytes
-        if kind is _PAGE_COPY_DATA:
-            size += 4 * len(msg.words)
-        elif kind is _UPDATE:
-            n = len(msg.writes)
-            if n > 1:
-                size += 8 * (n - 1)
-        elif kind is _INVALIDATE:
-            n = len(msg.writes)
-            if n > 1:
-                size += 4 * (n - 1)
+        size = msg.size_bytes
         # Dimension-order wormhole routing delivers same-pair messages in
         # injection order; the link model enforces that floor explicitly
         # (and charges it to the final link) so protocol ordering never
@@ -302,7 +282,7 @@ class Fabric:
             self._trace.record(now, msg, arrive)
 
         stats = self.stats
-        stats._kind_counts[kind.idx] += 1
+        stats._kind_counts[msg.kind.idx] += 1
         stats.total_messages += 1
         stats.total_hops += steps[0] + steps[2]
         stats.total_bytes += size

@@ -9,10 +9,11 @@ is byte-identical to the serial run:
 * :mod:`repro.parallel.tasks` — the picklable :class:`SweepTask` /
   :class:`TaskResult` model, shared execution semantics, and
   ``--shard i/N`` slicing.
-* :mod:`repro.parallel.executor` — :func:`run_sweep`: warm worker
-  pool, ordered aggregation, crash isolation, live progress line, and
-  the pure in-process ``jobs=1`` fallback; :class:`WorkerPool`: the
-  long-lived variant the ``repro serve`` daemon dispatches through;
+* :mod:`repro.parallel.executor` — :class:`WorkerPool`: the one warm
+  worker fleet, with crash isolation and interrupt-safe teardown, that
+  sweeps, the ``repro serve`` daemon and the space-parallel fleet all
+  dispatch through; :func:`run_sweep`: ordered delivery over a private
+  pool (or inline for ``jobs=1``) with a live progress line;
   :func:`effective_jobs`: ``--jobs`` resolution against the visible
   CPU count.
 * :mod:`repro.parallel.grid` — module-level grid-point targets for

@@ -7,22 +7,30 @@ contract, in priority order:
 
 1. **Determinism** — the returned list, the order of ``on_result``
    callbacks, and any early-stop truncation are *byte-identical* for
-   every job count.  Results are buffered and flushed strictly in task
+   every job count.  :func:`run_sweep` reads results strictly in task
    order; a completion that arrives early waits for its predecessors.
-   (The simulations themselves are deterministic per task; PR 4 moved
-   the message/thread id counters off process globals so a warm worker
-   reproduces a fresh process exactly.)
-2. **Warm workers** — each worker process is created once and runs many
-   tasks, so import/build cost is paid per worker, not per task.  On
-   platforms with ``fork`` the import cost is inherited outright.
+   (The simulations themselves are deterministic per task; the
+   message/thread id counters live per machine, not in process globals,
+   so a warm worker reproduces a fresh process exactly.)
+2. **One fleet** — :class:`WorkerPool` is the only code that spawns,
+   reaps or tears down worker processes.  A sweep builds a private pool;
+   the ``repro serve`` daemon and the space-parallel
+   :class:`~repro.parallel.spacetime.SpaceFleet` keep one warm across
+   requests.  Each worker is created once and runs many tasks, so
+   import/build cost is paid per worker, not per task.  On platforms
+   with ``fork`` the import cost is inherited outright.
 3. **Crash isolation** — a worker that dies mid-task (segfault, OOM
-   kill) is detected by the parent, the task it held is reported as a
+   kill) is detected by the pool, the task it held is reported as a
    crashed :class:`TaskResult` naming the task, and a replacement
-   worker keeps the sweep going.  A task that merely *raises* never
-   kills its worker at all (see :func:`~repro.parallel.tasks.execute`).
-4. **Pure in-process fallback** — ``jobs=1`` touches no subprocess
-   machinery: the same ordered-flush/early-stop loop runs inline, so
-   the serial path stays as debuggable as a plain ``for`` loop.
+   worker keeps the fleet at strength.  A task that merely *raises*
+   never kills its worker at all (see
+   :func:`~repro.parallel.tasks.execute`).
+4. **No orphans** — :meth:`WorkerPool.shutdown` reaps every child on
+   every exit path, including an interrupt that lands mid-teardown.
+5. **Pure in-process fallback** — ``jobs=1`` touches no subprocess
+   machinery: the same ordered-delivery/early-stop loop runs each task
+   inline, so the serial path stays as debuggable as a plain ``for``
+   loop.
 
 ``--shard i/N`` support lives in :func:`~repro.parallel.tasks.shard_tasks`;
 shards are plain task-list slices, so CI can split one sweep across
@@ -39,7 +47,7 @@ import threading
 import time
 from itertools import count
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.parallel.tasks import SweepTask, TaskResult, execute
 
@@ -190,10 +198,8 @@ def run_sweep(
     on_result: Optional[Callable[[TaskResult], None]] = None,
     stop: Optional[Callable[[TaskResult], bool]] = None,
     failed: Optional[Callable[[TaskResult], bool]] = None,
-    progress: Optional[ProgressLine] = None,
     label: str = "sweep",
     show_progress: Optional[bool] = None,
-    mp_context=None,
 ) -> List[TaskResult]:
     """Run ``tasks`` across ``jobs`` processes; results in task order.
 
@@ -203,34 +209,31 @@ def run_sweep(
     with the stopping result — exactly what a serial loop that
     ``break``s produces.  ``failed`` only feeds the progress line's
     failure counter (default: ``not result.ok``).
+
+    ``jobs == 1`` executes each task inline; ``jobs > 1`` submits every
+    task to a private :class:`WorkerPool` and reads the futures in task
+    order.  Either way one loop delivers the results, so the two paths
+    cannot drift apart.
     """
     total = len(tasks)
     if failed is None:
         failed = lambda r: not r.ok  # noqa: E731
-    if progress is None:
-        enabled = (
-            show_progress
-            if show_progress is not None
-            else (total > 1 and jobs > 1)
-        )
-        progress = ProgressLine(total, label=label, enabled=enabled)
+    if show_progress is None:
+        show_progress = total > 1 and jobs > 1
+    progress = ProgressLine(total, label=label, enabled=show_progress)
     if total == 0:
         return []
     jobs = max(1, min(jobs, total))
-    if jobs == 1:
-        return _run_serial(tasks, on_result, stop, failed, progress)
-    return _run_parallel(
-        tasks, jobs, on_result, stop, failed, progress, mp_context
-    )
-
-
-def _run_serial(tasks, on_result, stop, failed, progress):
-    """The pure in-process path (``--jobs 1``): no subprocesses at all."""
+    pool = WorkerPool(jobs) if jobs > 1 else None
     results: List[TaskResult] = []
     failures = 0
+    finished = False
     try:
-        for task in tasks:
-            result = execute(task)
+        if pool is None:
+            stream = (execute(task) for task in tasks)
+        else:
+            stream = (future.result() for future in pool.map(tasks))
+        for result in stream:
             results.append(result)
             if failed(result):
                 failures += 1
@@ -239,182 +242,22 @@ def _run_serial(tasks, on_result, stop, failed, progress):
             progress.update(len(results), failures)
             if stop is not None and stop(result):
                 break
+        else:
+            finished = True
     finally:
-        progress.close()
-    return results
-
-
-def _run_parallel(tasks, jobs, on_result, stop, failed, progress, mp_context):
-    ctx = mp_context if mp_context is not None else default_context()
-    task_q = ctx.Queue()
-    # Shared per-worker "what am I running" markers (crash attribution).
-    current = ctx.Array("i", [_IDLE] * jobs, lock=False)
-    workers: List[Optional[object]] = [None] * jobs
-    readers: Dict[object, int] = {}  # reader conn -> wid
-
-    def spawn_worker(wid):
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(wid, task_q, send_conn, current),
-            daemon=True,
-        )
-        proc.start()
-        # Close the parent's copy of the send end: the worker now holds
-        # the only one, so its exit — clean or violent — surfaces as
-        # EOF on ``recv_conn`` (instant death detection, no polling).
-        send_conn.close()
-        readers[recv_conn] = wid
-        workers[wid] = proc
-        return proc
-
-    for pos, task in enumerate(tasks):
-        task_q.put((pos, task))
-    for _ in range(jobs):
-        task_q.put(None)  # one exit sentinel per (eventual) live worker
-    for wid in range(jobs):
-        spawn_worker(wid)
-
-    collected: Dict[int, TaskResult] = {}
-    completed: Set[int] = set()
-    results: List[TaskResult] = []
-    flushed = 0  # next position to deliver in order
-    failures = 0
-    pending = len(tasks)
-    stopped = False
-
-    def flush():
-        """Deliver every contiguous in-order result; honor ``stop``."""
-        nonlocal flushed, failures, stopped
-        while not stopped and flushed in collected:
-            result = collected.pop(flushed)
-            flushed += 1
-            results.append(result)
-            if failed(result):
-                failures += 1
-            if on_result is not None:
-                on_result(result)
-            progress.update(len(results), failures)
-            if stop is not None and stop(result):
-                stopped = True
-
-    def reap(conn):
-        """A worker's pipe hit EOF: retire it; if it died holding a
-        task, synthesize the crashed result and replace the worker."""
-        nonlocal pending
-        wid = readers.pop(conn)
-        conn.close()
-        proc = workers[wid]
-        workers[wid] = None
-        proc.join()  # EOF means the worker is exiting: join is instant
-        held = current[wid]
-        if proc.exitcode == 0 and held == _DONE:
-            return  # clean retirement (consumed its exit sentinel)
-        if held >= 0 and held not in completed:
-            task = tasks[held]
-            completed.add(held)
-            collected[held] = TaskResult(
-                index=task.index,
-                label=task.label,
-                crashed=True,
-                error=(
-                    f"worker process died (exitcode {proc.exitcode}) "
-                    f"while running {task.describe()}"
-                ),
-            )
-            pending -= 1
-        if pending > 0 and not stopped:
-            # Keep the fleet at strength; the dead worker never consumed
-            # an exit sentinel, so the replacement inherits its slot.
-            current[wid] = _IDLE
-            spawn_worker(wid)
-
-    try:
-        while pending > 0 and not stopped:
-            ready = mp_connection.wait(list(readers), timeout=_POLL_S)
-            for conn in ready:
-                try:
-                    pos, result = conn.recv()
-                except (EOFError, OSError):
-                    reap(conn)
-                    continue
-                if pos in completed:
-                    continue  # twin of a crash-synthesized result
-                completed.add(pos)
-                collected[pos] = result
-                pending -= 1
-            flush()
-    finally:
-        # The daemon reuses this path on every request, so the teardown
-        # must reap every child even when the triggering exception was a
-        # KeyboardInterrupt/SIGTERM mid-task (and even when a *second*
-        # interrupt lands inside the cleanup itself).
         try:
             progress.close()
         finally:
-            _stop_fleet(
-                task_q, workers, readers, aborted=stopped or pending > 0
-            )
+            if pool is not None:
+                if finished:
+                    pool.shutdown()
+                else:  # stopped early or raised: cancel queued, kill in-flight
+                    pool.shutdown(timeout=0, cancel_pending=True)
     return results
 
 
-def _drain_task_queue(task_q) -> None:
-    """Discard unclaimed work so exiting workers stop immediately."""
-    try:
-        while True:
-            task_q.get_nowait()
-    except (queue_mod.Empty, OSError):
-        pass
-
-
-def _stop_fleet(task_q, workers, readers, aborted: bool) -> None:
-    """Terminate and reap every worker process; close parent-side pipes.
-
-    Idempotent (reaped slots are cleared) and interrupt-safe: a
-    ``KeyboardInterrupt`` landing mid-cleanup restarts the pass in
-    hard-abort mode instead of abandoning children, and a worker that
-    survives ``terminate()`` is escalated to ``kill()``.  Guarantees no
-    orphan processes and no hung ``join`` on every exit path of
-    :func:`_run_parallel`.
-    """
-    for attempt in range(3):
-        try:
-            if aborted:
-                _drain_task_queue(task_q)
-                for proc in workers:
-                    if proc is not None and proc.is_alive():
-                        proc.terminate()
-            for wid, proc in enumerate(workers):
-                if proc is None:
-                    continue
-                proc.join(timeout=5)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover — last resort
-                    proc.kill()
-                    proc.join(timeout=5)
-                if not proc.is_alive():
-                    workers[wid] = None  # reaped: idempotent on retry
-            for conn in list(readers):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            readers.clear()
-            try:
-                task_q.close()
-            except OSError:  # pragma: no cover
-                pass
-            return
-        except BaseException:  # noqa: BLE001 — must not abandon children
-            if attempt == 2:  # pragma: no cover — repeated interrupts
-                raise
-            aborted = True  # retry the pass in hard-abort mode
-
-
 # ----------------------------------------------------------------------
-# Long-lived pool mode: many submitters, one warm fleet.
+# The worker fleet: one warm pool per sweep, daemon or space fleet.
 # ----------------------------------------------------------------------
 class PoolFuture:
     """Outcome slot for one task submitted to a :class:`WorkerPool`."""
@@ -441,12 +284,12 @@ class PoolFuture:
 
 
 class WorkerPool:
-    """A warm worker fleet that outlives any single sweep.
+    """The one warm worker fleet: every sweep worker process lives here.
 
-    :func:`run_sweep` builds a private fleet per call; the pool is the
-    *long-lived* mode the ``repro serve`` daemon dispatches every
-    request through — workers are created once and stay warm across
-    requests, and many submitter threads share them.  Contract:
+    :func:`run_sweep` builds a private pool per sweep; the ``repro
+    serve`` daemon and :class:`~repro.parallel.spacetime.SpaceFleet`
+    keep one alive across requests and runs.  Workers are created once
+    and stay warm, and many submitter threads may share them.  Contract:
 
     * :meth:`submit` is thread-safe and returns a :class:`PoolFuture`
       that resolves to the task's :class:`TaskResult`;
@@ -456,12 +299,13 @@ class WorkerPool:
       daemon retries once, then reports a structured error);
     * :meth:`shutdown` drains or cancels queued work, retires every
       worker (escalating terminate → kill), joins them, and resolves
-      any leftover futures — idempotent, no orphan processes.
+      any leftover futures — idempotent and interrupt-safe, no orphan
+      processes.
     """
 
-    def __init__(self, jobs: int, mp_context=None) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = max(1, jobs)
-        self._ctx = mp_context if mp_context is not None else default_context()
+        self._ctx = default_context()
         self._task_q = self._ctx.Queue()
         self._current = self._ctx.Array("i", [_IDLE] * self.jobs, lock=False)
         self._lock = threading.Lock()
@@ -590,45 +434,69 @@ class WorkerPool:
 
         ``cancel_pending=True`` resolves queued-but-unstarted tasks with
         a structured error instead of running them; in-flight tasks are
-        always given ``timeout`` seconds to finish before escalation.
+        given ``timeout`` seconds to finish before escalation, and
+        ``timeout <= 0`` terminates them at once.
+
+        Interrupt-safe: a ``KeyboardInterrupt`` (or any exception)
+        landing mid-teardown restarts the pass in hard-abort mode
+        instead of abandoning children, and is re-raised only once
+        every child is reaped.
         """
         with self._lock:
             if self._closed:
                 return
             self._closing = True
+        interrupt: Optional[BaseException] = None
+        abort = timeout <= 0
+        for attempt in range(3):
+            try:
+                self._retire(timeout, cancel_pending, abort)
+                break
+            except BaseException as exc:  # noqa: BLE001 — reap first
+                if attempt == 2:  # pragma: no cover — repeated interrupts
+                    raise
+                if interrupt is None:
+                    interrupt = exc
+                abort = cancel_pending = True  # retry in hard-abort mode
+        if interrupt is not None:
+            raise interrupt
+
+    def _retire(
+        self, timeout: float, cancel_pending: bool, abort: bool
+    ) -> None:
+        """One teardown pass; safe to repeat after an interrupt.
+
+        ``abort`` drops the polite exit sentinels and terminates every
+        live worker up front; otherwise each worker gets ``timeout``
+        seconds to finish and exit, then terminate, then kill.
+        """
         if cancel_pending:
-            drained = []
+            # Discard unclaimed work so no worker starts it; its futures
+            # resolve as cancelled with the other leftovers below.
             try:
                 while True:
-                    item = self._task_q.get_nowait()
-                    if item is not None:
-                        drained.append(item)
-            except (queue_mod.Empty, OSError):
+                    self._task_q.get_nowait()
+            except (queue_mod.Empty, OSError, ValueError):
                 pass
-            for ticket, task in drained:
-                self._resolve(
-                    ticket,
-                    TaskResult(
-                        index=task.index,
-                        label=task.label,
-                        error="cancelled: worker pool shut down",
-                    ),
-                )
-        for proc in self._workers:
-            if proc is not None:
+        workers = [proc for proc in self._workers if proc is not None]
+        for proc in workers:
+            if abort:
+                if proc.is_alive():
+                    proc.terminate()
+            else:
                 self._task_q.put(None)  # one exit sentinel per worker
         deadline = time.monotonic() + timeout
-        for proc in list(self._workers):
-            if proc is None:
-                continue
+        for proc in workers:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
-                proc.join(timeout=2)
+                proc.join(timeout=5)
             if proc.is_alive():  # pragma: no cover — last resort
                 proc.kill()
-                proc.join(timeout=2)
-        self._collector.join(timeout=timeout)
+                proc.join(timeout=5)
+        # Every worker is gone, so every pipe is at EOF: the collector
+        # reaps them all and exits within a poll or two.
+        self._collector.join(timeout=max(timeout, 2.0))
         with self._lock:
             for conn in list(self._readers):
                 try:

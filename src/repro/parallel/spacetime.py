@@ -1070,9 +1070,8 @@ class SpaceFleet:
     *simultaneous* worker per region — fewer would deadlock the barrier).
     """
 
-    def __init__(self, jobs: int = 0, mp_context=None) -> None:
+    def __init__(self, jobs: int = 0) -> None:
         self.jobs = jobs
-        self._ctx = mp_context
         self._pool = None
         self._size = 0
 
@@ -1084,7 +1083,7 @@ class SpaceFleet:
         if self._pool is None or self._size < need:
             if self._pool is not None:
                 self._pool.shutdown(cancel_pending=True)
-            self._pool = WorkerPool(need, mp_context=self._ctx)
+            self._pool = WorkerPool(need)
             self._size = need
         return self._pool
 
@@ -1120,7 +1119,6 @@ class _ShmRunners:
         self,
         spec: SpaceSpec,
         regions: int,
-        mp_context=None,
         fleet: Optional[SpaceFleet] = None,
         ring_words: int = 0,
     ) -> None:
@@ -1130,9 +1128,7 @@ class _ShmRunners:
         self.regions = regions
         self.stats = _fresh_transport_stats()
         self._own_fleet = fleet is None
-        self._fleet = fleet if fleet is not None else SpaceFleet(
-            mp_context=mp_context
-        )
+        self._fleet = fleet if fleet is not None else SpaceFleet()
         self._finished = False
         self._details: List[Optional[Tuple[str, str, int]]] = (
             [None] * regions
@@ -1480,7 +1476,6 @@ def run_space(
     *,
     step_order: Optional[Sequence[int]] = None,
     transport: str = "memory",
-    mp_context=None,
     fleet: Optional[SpaceFleet] = None,
 ) -> SpaceRun:
     """Drive one space-partitioned run to completion.
@@ -1527,11 +1522,7 @@ def run_space(
         if step_order is not None:
             raise ConfigError("step_order is a serial-mode test knob")
         runners = _ShmRunners(
-            spec,
-            regions,
-            mp_context=mp_context,
-            fleet=fleet,
-            ring_words=ring_words,
+            spec, regions, fleet=fleet, ring_words=ring_words
         )
 
     run = SpaceRun(spec=spec, regions=regions, window=window)

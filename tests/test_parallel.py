@@ -307,8 +307,8 @@ def _surviving_children(before):
 
 
 class TestInterruptSafety:
-    """A sweep aborted mid-flight must reap every child it spawned —
-    the ``repro serve`` daemon rides this path on every request."""
+    """A sweep aborted mid-flight must reap every child it spawned: its
+    private :class:`WorkerPool` is shut down on every exit path."""
 
     def test_keyboard_interrupt_reaps_all_children(self):
         import multiprocessing
@@ -351,6 +351,17 @@ class TestInterruptSafety:
 
         before = set(multiprocessing.active_children())
         run_sweep(_tasks("square", range(6)), jobs=2, show_progress=False)
+        assert _surviving_children(before) == []
+
+    def test_early_stop_reaps_all_children(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        tasks = _tasks("square", [7]) + _tasks("slow", range(1, 6))
+        results = run_sweep(
+            tasks, jobs=3, stop=lambda r: r.index == 0, show_progress=False
+        )
+        assert [r.value for r in results] == [49]
         assert _surviving_children(before) == []
 
 
@@ -428,6 +439,30 @@ class TestWorkerPool:
         assert all(not r.ok for r in results)
         assert any("cancelled" in (r.error or "") for r in results)
         assert _surviving_children(before) == []
+
+    def test_interrupt_during_shutdown_reaps_then_propagates(self):
+        import multiprocessing
+        import threading
+
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(jobs=2)
+        pool.map(_tasks("slow", range(2)))
+        first = pool._workers[0]
+        real_join = first.join
+
+        def interrupted_join(timeout=None):
+            # Only the shutdown caller is interrupted, and only once;
+            # the collector thread may join the same process.
+            if threading.current_thread() is threading.main_thread():
+                first.join = real_join
+                raise KeyboardInterrupt
+            return real_join(timeout)
+
+        first.join = interrupted_join
+        with pytest.raises(KeyboardInterrupt):
+            pool.shutdown(timeout=1)
+        assert _surviving_children(before) == []
+        pool.shutdown()  # idempotent after the interrupted teardown
 
     def test_submit_after_shutdown_raises(self):
         pool = WorkerPool(jobs=1)
