@@ -29,7 +29,7 @@ one worker per core (min 2) — and records the wall times, speedup,
 ``cpu_count``, and output-identity verdict under the report's ``sweep``
 key.  Every run additionally benchmarks *space-parallel* execution of
 one partitioned machine (``repro.parallel.spacetime``): both workloads
-serial-driver vs one-worker-per-region, gated on bit-identity with the
+one process vs R regions in R processes, gated on bit-identity with the
 speedup recorded under ``space`` (full runs add a 256-node SSSP point).
 
 The ``scale`` section builds the 1,024-node torus machine — ~1M mapped
@@ -238,7 +238,7 @@ def benchmark_sweep(seeds: int = 200, jobs: Optional[int] = None) -> Dict:
 
 def benchmark_space(smoke: bool = False) -> Dict:
     """Space-parallel identity and speedup: one partitioned machine,
-    serial driver vs one worker per region.
+    one process vs R regions in R processes (this one steps region 0).
 
     The gate is *bit-identity*: both bench workloads run through
     :func:`repro.parallel.run_space` serially and in parallel and must

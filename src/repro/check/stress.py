@@ -660,9 +660,10 @@ def run_stress(
     wire-fault-only plan and partitions fine.
 
     ``space_regions > 0`` runs the seed's experiment on the
-    space-partitioned machine instead (``space_jobs >= 2`` with one
-    persistent worker process per region, else the in-process serial
-    space driver; see :func:`repro.parallel.spacetime.run_space`).
+    space-partitioned machine instead (``space_jobs >= 2`` steps
+    region 0 here and each other region in a persistent worker process,
+    else the in-process serial space driver; see
+    :func:`repro.parallel.spacetime.run_space`).
     ``space_verify`` runs the worker-process driver *and* the serial
     reference and fails the seed unless their outputs are bit-identical
     (trace checksum, final memory, clock).

@@ -290,7 +290,7 @@ def _cmd_costs(args) -> int:
 
 def _space_regions(args) -> int:
     """Region count for a space-partitioned run: explicit
-    ``--space-regions`` wins; otherwise one region per worker when
+    ``--space-regions`` wins; otherwise one region per process when
     running parallel, two when exercising the serial space driver."""
     if args.space_regions:
         return args.space_regions
@@ -301,10 +301,11 @@ def _cmd_run(args) -> int:
     """Space-parallel run of one workload on one partitioned machine.
 
     ``--space-jobs 1`` drives every region in-process (the serial space
-    driver); ``--space-jobs N`` gives each region its own worker
-    process.  Both executions are bit-identical — ``--space-verify``
-    proves it on the spot by running both and comparing the full
-    checksum tuple (clock, messages, events, memory image, trace).
+    driver); ``--space-jobs N`` steps region 0 here and gives each other
+    region its own worker process.  Both executions are bit-identical —
+    ``--space-verify`` proves it on the spot by running both and
+    comparing the full checksum tuple (clock, messages, events, memory
+    image, trace).
     """
     from repro.parallel.spacetime import (
         SpaceSpec,
@@ -884,9 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=default_jobs,
             metavar="N",
-            help="space-partition the machine itself: one worker "
-            "process per mesh region (1 = serial space driver, "
-            "bit-identical to N; 0 = off)",
+            help="space-partition the machine itself across N "
+            "processes: this one steps mesh region 0 and one worker "
+            "process steps each other region (1 = every region in "
+            "this process, bit-identical to N; 0 = off)",
         )
         p.add_argument(
             "--space-regions",
@@ -894,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=0,
             metavar="R",
             help="mesh regions for --space-jobs (default: one per "
-            "worker, or 2 for the serial driver; clamped to the mesh "
+            "process, or 2 for the serial driver; clamped to the mesh "
             "height)",
         )
         p.add_argument(
@@ -1225,10 +1227,11 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=0,
                 metavar="N",
-                help="keep a warm space-parallel region fleet of N "
-                "workers: 'space' requests reuse its processes "
-                "instead of running serially in a pool worker "
-                "(default 0 = no fleet)",
+                help="run 'space' requests across N processes: the "
+                "request's handler thread steps region 0 and a warm "
+                "fleet of N-1 region workers steps the rest, instead "
+                "of running serially in a pool worker (default 0 = no "
+                "fleet)",
             )
             p.add_argument(
                 "--cache-size",

@@ -355,11 +355,18 @@ class WorkerPool:
             args=(wid, self._task_q, send_conn, self._current),
             daemon=True,
         )
-        proc.start()
-        send_conn.close()  # worker holds the only send end (EOF = death)
-        self._workers[wid] = proc
         with self._lock:
-            self._readers[recv_conn] = wid
+            # A respawn racing shutdown: shutdown lists the workers to
+            # retire after setting _closing, so start and register
+            # under the lock, or not at all.
+            started = not self._closing
+            if started:
+                proc.start()
+                self._workers[wid] = proc
+                self._readers[recv_conn] = wid
+        send_conn.close()  # worker holds the only send end (EOF = death)
+        if not started:
+            recv_conn.close()
 
     def _resolve(self, ticket: int, result: TaskResult) -> None:
         with self._lock:

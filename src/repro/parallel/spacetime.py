@@ -35,10 +35,11 @@ model**, parameterized by ``(regions, window)``:
   clock, message ids) to the plain serial :class:`PlusMachine` — there
   are no cross-region messages, region 0's fabric numbering and rng
   streams are the plain machine's.
-* For any region count, the **parallel** execution (one persistent
-  worker process per region, boundary messages codec-packed through
-  shared-memory rings) is bit-identical to the **serial in-process**
-  execution of the same partitioned model: both drive identical
+* For any region count, the **parallel** execution (the calling
+  process steps region 0 and one persistent worker process steps each
+  other region, boundary messages codec-packed through shared-memory
+  rings) is bit-identical to the **serial in-process** execution of
+  the same partitioned model: both drive identical
   :class:`RegionState` objects through identical window steps; only
   the transport differs.  That is the equivalence the test suite checks
   exhaustively.
@@ -473,12 +474,12 @@ class StepOutcome:
     #: Engine.last_live after the step (global clock = max over regions).
     last_live: int
     #: Cross-region messages staged during the window, per dst region.
-    #: Empty from worker processes, whose staged records travel through
+    #: Empty from ring endpoints, whose staged records travel through
     #: the boundary rings instead of the driver.
     staged: Dict[int, List[Staged]]
     #: ``(exc type name, rendered text, cycle)`` if the window raised.
     #: Worker processes report a ``("", "", cycle)`` placeholder during
-    #: the run (error text ships once, with the harvest).
+    #: the run (error text ships once, in :attr:`RegionHarvest.error`).
     error: Optional[Tuple[str, str, int]] = None
     #: Earliest arrival among messages staged this step, -1 if none.
     #: In-flight messages the destination has not drained yet are
@@ -517,6 +518,8 @@ class RegionHarvest:
     stuck: List[str] = field(default_factory=list)
     #: ``FaultPlan.describe()`` of this region's fabric, or None.
     fault_desc: Optional[str] = None
+    #: The last step's captured error, ``(type name, text, cycle)``.
+    error: Optional[Tuple[str, str, int]] = None
 
 
 class RegionState:
@@ -524,20 +527,29 @@ class RegionState:
 
     Both execution modes drive this exact object through the same
     ``step``/``finish`` calls; the serial driver holds ``regions`` of
-    them in-process, the parallel driver builds each inside its own
-    region server process.  Equivalence between the modes is therefore
-    structural: same code, same state, same inputs per step.
+    them in-process; a parallel run holds region 0's and builds each
+    other one inside its own region server process.  Equivalence
+    between the modes is therefore structural: same code, same state,
+    same inputs per step.  ``machine`` adopts an already-built
+    ``spec.build(region)`` instead of building another.
     """
 
-    def __init__(self, spec: SpaceSpec, region: int) -> None:
+    def __init__(
+        self,
+        spec: SpaceSpec,
+        region: int,
+        machine: Optional[SpaceMachine] = None,
+    ) -> None:
         self.spec = spec
         self.region = region
-        machine = spec.build(region)
+        if machine is None:
+            machine = spec.build(region)
         machine.set_active_region(region)
         self.machine = machine
         self.engine: Engine = machine.engines[region]
         self.fabric: SpaceFabric = machine.fabrics[region]
         self.nodes = machine.region_nodes(region)
+        self.error: Optional[Tuple[str, str, int]] = None
 
     def initial(self) -> Dict[str, Any]:
         """Pre-run report: clamped region count, window, first event."""
@@ -579,6 +591,7 @@ class RegionState:
             engine.run(until=barrier - 1, max_events=max_events)
         except PlusError as exc:
             error = (type(exc).__name__, str(exc), engine.now)
+        self.error = error
         region = self.region
         staged: Dict[int, List[Staged]] = {}
         staged_min = -1
@@ -652,6 +665,7 @@ class RegionState:
                 if fabric.fault_plan is not None
                 else None
             ),
+            error=self.error,
         )
         if trace is not None:
             harvest.entries = list(trace.entries)
@@ -662,7 +676,7 @@ class RegionState:
 
 
 # ----------------------------------------------------------------------
-# Runners: serial in-process vs one worker process per region.
+# Runners: the live-object reference and the ring runner.
 # ----------------------------------------------------------------------
 #: Canonical staged-entry order: (arrive, src region, staging seq).
 #: The first three fields are unique per entry, so the Message itself is
@@ -670,112 +684,68 @@ class RegionState:
 _STAGED_KEY = itemgetter(0, 1, 2)
 
 
-def _fresh_transport_stats() -> Dict[str, int]:
-    return {"bytes": 0, "messages": 0, "spill_rounds": 0}
+def _step_order(
+    step_order: Optional[Sequence[int]], local: Sequence[int]
+) -> List[int]:
+    """The order this process steps its ``local`` regions in: ``local``
+    itself, or ``step_order`` if it is a permutation of them."""
+    if step_order is None:
+        return list(local)
+    if sorted(step_order) != sorted(local):
+        raise ConfigError(
+            f"step_order {step_order!r} is not a permutation of the "
+            f"regions this process steps ({list(local)!r})"
+        )
+    return list(step_order)
 
 
 class _SerialRunners:
-    """All regions in this process.  ``step_order`` permutes the order
-    region steps *execute* in (results are order-independent — that's
-    the point, and what the property tests assert).  ``transport``
-    selects how staged messages move between the in-process regions:
-
-    * ``"memory"`` — handed over as live objects (the reference);
-    * ``"shm"`` — staged entries are codec-packed through real
-      :class:`~repro.runtime.shm.BoundaryRing` segments, exercising the
-      exact bytes the region server processes move, in one process.
-    """
+    """All regions in this process, staged messages handed over as live
+    objects: the reference every ring execution must match.
+    ``step_order`` permutes the order region steps *execute* in
+    (results are order-independent — that's the point, and what the
+    property tests assert)."""
 
     def __init__(
         self,
         spec: SpaceSpec,
-        regions: int,
+        first: SpaceMachine,
         step_order: Optional[Sequence[int]] = None,
-        transport: str = "memory",
-        ring_words: int = 0,
     ) -> None:
-        self.states = [RegionState(spec, r) for r in range(regions)]
-        self._order = (
-            list(step_order) if step_order is not None else list(range(regions))
-        )
-        if sorted(self._order) != list(range(regions)):
-            raise ConfigError(
-                f"step_order {step_order!r} is not a permutation of "
-                f"range({regions})"
-            )
-        self._transport = transport
+        regions = first.regions
+        self.states = [RegionState(spec, 0, first)] + [
+            RegionState(spec, r) for r in range(1, regions)
+        ]
+        self._order = _step_order(step_order, range(regions))
         self._inject: Dict[int, List[Staged]] = {}
-        self.stats = _fresh_transport_stats()
-        self._rings: Dict[Tuple[int, int], BoundaryRing] = {}
-        if transport == "shm":
-            for s in range(regions):
-                for d in range(regions):
-                    if s != d:
-                        self._rings[(s, d)] = BoundaryRing.create(
-                            ring_words or _RING_WORDS, CODEC_VERSION
-                        )
+        self.stats = {"bytes": 0, "messages": 0, "spill_rounds": 0}
 
     def prepare_all(self) -> List[Dict[str, Any]]:
         return [state.initial() for state in self.states]
 
     def step_all(self, barrier: int, max_events: int) -> List[StepOutcome]:
-        regions = len(self.states)
-        outcomes: List[Optional[StepOutcome]] = [None] * regions
+        outcomes: List[Optional[StepOutcome]] = [None] * len(self.states)
         for r in self._order:
             inject = self._inject.pop(r, [])
-            if self._transport == "shm":
-                for s in range(regions):
-                    if s == r:
-                        continue
-                    words = self._rings[(s, r)].drain()
-                    if words:
-                        inject.extend(decode_records(words))
             inject.sort(key=_STAGED_KEY)
             outcome = self.states[r].step(barrier, inject, max_events)
-            self._route(r, outcome)
+            for dst, entries in outcome.staged.items():
+                self.stats["messages"] += len(entries)
+                self._inject.setdefault(dst, []).extend(entries)
             outcomes[r] = outcome
         return outcomes  # type: ignore[return-value]
-
-    def _route(self, region: int, outcome: StepOutcome) -> None:
-        """Move the step's staged entries toward their destinations."""
-        stats = self.stats
-        for dst, entries in outcome.staged.items():
-            stats["messages"] += len(entries)
-            if self._transport == "shm":
-                words: List[int] = []
-                for arrive, src_region, seq, msg in entries:
-                    encode_staged(arrive, src_region, seq, msg, words)
-                stats["bytes"] += 8 * len(words)
-                ring = self._rings[(region, dst)]
-                if not ring.push(words):
-                    # The consumer lives in this process: drain its side
-                    # into the driver inject map to make room, and carry
-                    # anything that still does not fit directly.
-                    stats["spill_rounds"] += 1
-                    drained = ring.drain()
-                    bucket = self._inject.setdefault(dst, [])
-                    if drained:
-                        bucket.extend(decode_records(drained))
-                    if not ring.push(words):
-                        bucket.extend(decode_records(words))
-            else:
-                self._inject.setdefault(dst, []).extend(entries)
-
-    def error_detail(self, region: int) -> Optional[Tuple[str, str]]:
-        return None  # serial outcomes already carry the full error
 
     def finish_all(self, elapsed: int) -> List[RegionHarvest]:
         return [state.finish(elapsed) for state in self.states]
 
     def close(self) -> None:
-        for ring in self._rings.values():
-            ring.close(unlink=True)
-        self._rings.clear()
+        pass
 
 
 # ----------------------------------------------------------------------
-# The shm control plane: persistent region servers commanded through a
-# shared-memory control block, staged messages through boundary rings.
+# The ring runner: boundary rings between regions, a ring endpoint per
+# region, and persistent region servers commanded through a
+# shared-memory control block.
 # ----------------------------------------------------------------------
 #: Default per-direction ring capacity in int64 words (512 KiB).  The
 #: driver raises it when the machine's page size could produce a single
@@ -789,8 +759,94 @@ def _ring_words_for(params: TimingParams) -> int:
     whole page of words)."""
     return max(_RING_WORDS, 64 * (params.page_words + 64))
 
+
+def _split_records(words: List[int]) -> List[List[int]]:
+    """Split a codec batch back into whole records (LEN prefixes)."""
+    records: List[List[int]] = []
+    pos = 0
+    total = len(words)
+    while pos < total:
+        length = words[pos]
+        records.append(words[pos : pos + length])
+        pos += length
+    return records
+
+
+class _RingEndpoint:
+    """One region's side of the boundary rings, in whichever process
+    steps it.
+
+    ``rings`` maps ``(src, dst)`` region pairs to rings; the endpoint
+    consumes those into its region and produces into the others.
+    ``step`` drains every incoming ring into the region's front lane,
+    runs the window, then encodes each destination's staged entries as
+    one batch and pushes it.  A batch its ring refuses is parked as
+    whole records on a spill list, which ``drain_out`` re-pushes as the
+    consumer frees space.  Region servers and the calling process run
+    this same object, so every ring execution shares one spill policy.
+    """
+
+    def __init__(
+        self, state: RegionState, rings: Dict[Tuple[int, int], BoundaryRing]
+    ) -> None:
+        region = state.region
+        self.state = state
+        self._in = [ring for (_s, d), ring in rings.items() if d == region]
+        self._out = {d: ring for (s, d), ring in rings.items() if s == region}
+        self._spill: Dict[int, List[List[int]]] = {}
+        #: Cumulative words pushed and messages encoded.
+        self.words = 0
+        self.messages = 0
+
+    def drain_in(self) -> None:
+        entries: List[Staged] = []
+        for ring in self._in:
+            words = ring.drain()
+            if words:
+                entries.extend(decode_records(words))
+        if entries:
+            entries.sort(key=_STAGED_KEY)
+            self.state.inject_entries(entries)
+
+    def step(self, barrier: int, max_events: int) -> StepOutcome:
+        self.drain_in()
+        outcome = self.state.step(barrier, [], max_events)
+        for dst, entries in outcome.staged.items():
+            words: List[int] = []
+            for arrive, src_region, seq, msg in entries:
+                encode_staged(arrive, src_region, seq, msg, words)
+            self.messages += len(entries)
+            if self._out[dst].push(words):
+                self.words += len(words)
+            else:
+                self._spill.setdefault(dst, []).extend(
+                    _split_records(words)
+                )
+        outcome.staged = {}
+        return outcome
+
+    def drain_out(self) -> None:
+        """Re-push spilled records, oldest first, while they fit."""
+        for dst, records in list(self._spill.items()):
+            ring = self._out[dst]
+            while records and ring.push(records[0]):
+                self.words += len(records.pop(0))
+            if not records:
+                del self._spill[dst]
+            elif len(records[0]) > ring.capacity:
+                raise SimulationError(
+                    f"a single staged record of {len(records[0])} words "
+                    f"exceeds the boundary ring capacity {ring.capacity}"
+                )
+
+    @property
+    def spilled(self) -> int:
+        """Encoded words still waiting for ring space."""
+        return sum(len(rec) for recs in self._spill.values() for rec in recs)
+
+
 #: Control-block slots per region (int64 words).
-_CTL_SLOTS = 14
+_CTL_SLOTS = 13
 _S_CMD_SEQ = 0     # driver: bumped last, after the args below
 _S_CMD = 1         # driver: one of the _CMD_* codes
 _S_ARG0 = 2        # driver: barrier (STEP) / elapsed (FINISH)
@@ -800,11 +856,10 @@ _S_NEXT = 5        # worker: next pending event time, -1 for none
 _S_FIRED = 6       # worker: events fired this step (prepare: regions)
 _S_LAST_LIVE = 7   # worker: engine.last_live (prepare: window)
 _S_STAGED_MIN = 8  # worker: earliest arrival staged this step, -1
-_S_ERR = 9         # worker: 1 when the step captured a PlusError
-_S_ERR_CYCLE = 10  # worker: the captured error's cycle
-_S_SPILL = 11      # worker: encoded words awaiting ring space
-_S_WORDS = 12      # worker: cumulative words pushed through rings
-_S_MSGS = 13       # worker: cumulative messages encoded
+_S_ERR = 9         # worker: cycle of the step's captured error, -1
+_S_SPILL = 10      # worker: encoded words awaiting ring space
+_S_WORDS = 11      # worker: cumulative words pushed through rings
+_S_MSGS = 12       # worker: cumulative messages encoded
 
 _CMD_STEP = 1
 _CMD_DRAIN_IN = 2   # consumers: drain + inject every incoming ring
@@ -824,11 +879,10 @@ class _ControlBlock:
     completes, so every slot has exactly one writer at any moment.
     """
 
-    def __init__(self, shm, regions: int, owner: bool) -> None:
+    def __init__(self, shm, owner: bool) -> None:
         self._shm = shm
         self._owner = owner
         self._words = shm.buf.cast("q")
-        self.regions = regions
 
     @classmethod
     def create(cls, regions: int) -> "_ControlBlock":
@@ -840,22 +894,17 @@ class _ControlBlock:
         shm = _shared_memory.SharedMemory(
             create=True, size=8 * _CTL_SLOTS * regions
         )
-        block = cls(shm, regions, owner=True)
-        words = block._words
-        for i in range(_CTL_SLOTS * regions):
-            words[i] = 0
+        block = cls(shm, owner=True)
         for r in range(regions):
             # Sequence numbers are strictly increasing from 1 (the
             # prepare handshake); a worker must never mistake the
-            # zeroed block for a command.
-            words[r * _CTL_SLOTS + _S_CMD_SEQ] = 1
+            # (zero-filled) fresh block for a command.
+            block.put(r, _S_CMD_SEQ, 1)
         return block
 
     @classmethod
-    def attach(cls, name: str, regions: int) -> "_ControlBlock":
-        return cls(
-            _shared_memory.SharedMemory(name=name), regions, owner=False
-        )
+    def attach(cls, name: str) -> "_ControlBlock":
+        return cls(_shared_memory.SharedMemory(name=name), owner=False)
 
     @property
     def name(self) -> str:
@@ -901,71 +950,32 @@ def _spin_wait(ready, poll=None):
         delay = min(delay * 2, 1e-3)
 
 
-def _split_records(words: List[int]) -> List[List[int]]:
-    """Split a codec batch back into whole records (LEN prefixes)."""
-    records: List[List[int]] = []
-    pos = 0
-    total = len(words)
-    while pos < total:
-        length = words[pos]
-        records.append(words[pos : pos + length])
-        pos += length
-    return records
-
-
-def _push_spill(ring: BoundaryRing, spill: List[List[int]]) -> int:
-    """Push as many whole spilled records as currently fit; returns the
-    number of words pushed.  The consumer only ever *frees* space, so a
-    batch sized against ``free_words`` cannot fail."""
-    pushed = 0
-    while spill:
-        if len(spill[0]) > ring.capacity:
-            raise SimulationError(
-                f"a single staged record of {len(spill[0])} words "
-                f"exceeds the boundary ring capacity {ring.capacity}"
-            )
-        free = ring.free_words
-        batch: List[int] = []
-        while spill and len(spill[0]) + len(batch) <= free:
-            batch.extend(spill.pop(0))
-        if not batch:
-            break
-        ring.push(batch)
-        pushed += len(batch)
-    return pushed
-
-
 def _worker_serve(
     *,
     spec: SpaceSpec,
     region: int,
-    regions: int,
     control: str,
-    rings_in: Tuple[Tuple[int, str], ...],
-    rings_out: Tuple[Tuple[int, str], ...],
+    rings: Dict[Tuple[int, int], str],
 ):
     """One region's long-lived server loop (runs as a single SweepTask).
 
     Builds the region once, then serves STEP / DRAIN / FINISH commands
-    from the control block until the run ends — region state, engine and
-    fabric stay warm in this process across every window, and across
-    runs when the pool itself is a persistent :class:`SpaceFleet`.
-    Returns ``(harvest, error_detail)``: the error text (unbounded, so
-    it cannot live in a fixed shm slot) ships once, at the end, through
-    the task-result path instead of the barrier path.
+    from the control block through the region's :class:`_RingEndpoint`
+    until the run ends — region state, engine and fabric stay warm in
+    this process across every window, and across runs when the pool
+    itself is a persistent :class:`SpaceFleet`.  Returns the harvest:
+    a step's error text (unbounded, so it cannot live in a fixed shm
+    slot) ships once, at the end, through the task-result path instead
+    of the barrier path.
     """
-    ctl = _ControlBlock.attach(control, regions)
-    in_rings: List[BoundaryRing] = []
-    out_rings: Dict[int, BoundaryRing] = {}
+    ctl = _ControlBlock.attach(control)
+    attached: Dict[Tuple[int, int], BoundaryRing] = {}
     try:
-        in_rings = [
-            BoundaryRing.attach(name, CODEC_VERSION) for _src, name in rings_in
-        ]
-        out_rings = {
-            dst: BoundaryRing.attach(name, CODEC_VERSION)
-            for dst, name in rings_out
-        }
+        for pair, name in rings.items():
+            if region in pair:
+                attached[pair] = BoundaryRing.attach(name, CODEC_VERSION)
         state = RegionState(spec, region)
+        endpoint = _RingEndpoint(state, attached)
         info = state.initial()
         nxt = info["next"]
         ctl.put(region, _S_NEXT, -1 if nxt is None else nxt)
@@ -973,20 +983,6 @@ def _worker_serve(
         ctl.put(region, _S_LAST_LIVE, info["window"])
         ctl.put(region, _S_ACK, 1)
         last_seq = 1
-        spill: Dict[int, List[List[int]]] = {}
-        error_detail: Optional[Tuple[str, str, int]] = None
-        total_words = total_msgs = 0
-
-        def drain_inject() -> None:
-            entries: List[Staged] = []
-            for ring in in_rings:
-                words = ring.drain()
-                if words:
-                    entries.extend(decode_records(words))
-            if entries:
-                entries.sort(key=_STAGED_KEY)
-                state.inject_entries(entries)
-
         while True:
             seq = _spin_wait(
                 lambda: (
@@ -997,64 +993,38 @@ def _worker_serve(
             )
             cmd = ctl.get(region, _S_CMD)
             if cmd == _CMD_STEP:
-                barrier = ctl.get(region, _S_ARG0)
-                budget = ctl.get(region, _S_ARG1)
-                drain_inject()
-                outcome = state.step(barrier, [], budget)
-                if outcome.error is not None and error_detail is None:
-                    error_detail = outcome.error
-                for dst, entries in outcome.staged.items():
-                    words: List[int] = []
-                    for arrive, src_region, sseq, msg in entries:
-                        encode_staged(arrive, src_region, sseq, msg, words)
-                    total_msgs += len(entries)
-                    if out_rings[dst].push(words):
-                        total_words += len(words)
-                    else:
-                        spill.setdefault(dst, []).extend(
-                            _split_records(words)
-                        )
+                outcome = endpoint.step(
+                    ctl.get(region, _S_ARG0), ctl.get(region, _S_ARG1)
+                )
                 nxt = outcome.next_time
                 ctl.put(region, _S_NEXT, -1 if nxt is None else nxt)
                 ctl.put(region, _S_FIRED, outcome.fired)
                 ctl.put(region, _S_LAST_LIVE, outcome.last_live)
                 ctl.put(region, _S_STAGED_MIN, outcome.staged_min)
-                if outcome.error is not None:
-                    ctl.put(region, _S_ERR, 1)
-                    ctl.put(region, _S_ERR_CYCLE, outcome.error[2])
-                else:
-                    ctl.put(region, _S_ERR, 0)
+                error = outcome.error
+                ctl.put(region, _S_ERR, -1 if error is None else error[2])
             elif cmd == _CMD_DRAIN_IN:
-                drain_inject()
+                endpoint.drain_in()
             elif cmd == _CMD_DRAIN_OUT:
-                for dst in list(spill):
-                    total_words += _push_spill(out_rings[dst], spill[dst])
-                    if not spill[dst]:
-                        del spill[dst]
+                endpoint.drain_out()
             elif cmd == _CMD_FINISH:
                 harvest = state.finish(ctl.get(region, _S_ARG0))
                 ctl.put(region, _S_ACK, seq)
-                return (harvest, error_detail)
+                return harvest
             elif cmd == _CMD_ABORT:
                 ctl.put(region, _S_ACK, seq)
-                return (None, error_detail)
+                return None
             else:  # pragma: no cover - protocol corruption
                 raise SimulationError(
                     f"space region {region} received unknown command {cmd}"
                 )
-            ctl.put(
-                region,
-                _S_SPILL,
-                sum(len(rec) for recs in spill.values() for rec in recs),
-            )
-            ctl.put(region, _S_WORDS, total_words)
-            ctl.put(region, _S_MSGS, total_msgs)
+            ctl.put(region, _S_SPILL, endpoint.spilled)
+            ctl.put(region, _S_WORDS, endpoint.words)
+            ctl.put(region, _S_MSGS, endpoint.messages)
             ctl.put(region, _S_ACK, seq)
             last_seq = seq
     finally:
-        for ring in in_rings:
-            ring.close()
-        for ring in out_rings.values():
+        for ring in attached.values():
             ring.close()
         ctl.close()
 
@@ -1065,9 +1035,12 @@ class SpaceFleet:
     ``repro serve --space-jobs N`` keeps one of these warm so repeated
     space-parallel requests skip process spawn and import warm-up;
     :func:`run_space` borrows it (``fleet=...``) for one run and leaves
-    its workers idle-but-alive afterwards.  The underlying pool grows to
-    the largest region count it has ever served (a run needs one
-    *simultaneous* worker per region — fewer would deadlock the barrier).
+    its workers idle-but-alive afterwards.  ``jobs`` counts processes
+    the way ``run_space`` does — the calling process steps region 0 —
+    so the pool holds ``jobs - 1`` workers, and grows to the largest
+    region count it has ever served less one (every region but region 0
+    needs its own *simultaneous* worker — fewer would deadlock the
+    barrier).
     """
 
     def __init__(self, jobs: int = 0) -> None:
@@ -1076,10 +1049,10 @@ class SpaceFleet:
         self._size = 0
 
     def ensure(self, regions: int):
-        """A live pool with at least ``regions`` workers."""
+        """A live pool with a worker for every region but region 0."""
         from repro.parallel.executor import WorkerPool
 
-        need = max(regions, self.jobs, 1)
+        need = max(regions - 1, self.jobs - 1, 1)
         if self._pool is None or self._size < need:
             if self._pool is not None:
                 self._pool.shutdown(cancel_pending=True)
@@ -1106,70 +1079,79 @@ class SpaceFleet:
 
 
 class _ShmRunners:
-    """One persistent server process per region, zero-pickle barriers.
+    """The ring runner: staged messages cross regions as codec records
+    through one :class:`BoundaryRing` per ordered region pair.
 
-    Each region runs :func:`_worker_serve` as a single long task on a
-    (possibly shared) :class:`SpaceFleet` pool; per-window commands and
-    results travel through the :class:`_ControlBlock` and staged
-    messages through per-(src, dst) :class:`BoundaryRing` pairs — after
-    the initial spec shipment, nothing on the barrier path pickles.
+    This process steps its *local* regions itself, each through a
+    :class:`_RingEndpoint`.  With ``jobs >= 2`` region 0 is the only
+    local region, and every other region runs :func:`_worker_serve` as
+    a single long task on a (possibly shared) :class:`SpaceFleet` pool,
+    commanded through a :class:`_ControlBlock`: R regions use R
+    processes, and after the initial spec shipment nothing on the
+    barrier path pickles.  With ``jobs <= 1`` every region is local,
+    stepped in ``step_order``: no workers and no control block, the
+    same bytes through the same rings.
     """
 
     def __init__(
         self,
         spec: SpaceSpec,
-        regions: int,
+        first: SpaceMachine,
+        jobs: int,
+        ring_words: int,
+        step_order: Optional[Sequence[int]] = None,
         fleet: Optional[SpaceFleet] = None,
-        ring_words: int = 0,
     ) -> None:
         from repro.parallel.tasks import SweepTask
 
-        self.spec = spec
+        regions = first.regions
         self.regions = regions
-        self.stats = _fresh_transport_stats()
+        self.stats = {"bytes": 0, "messages": 0, "spill_rounds": 0}
+        self._remote = list(range(1, regions)) if jobs >= 2 else []
+        self._order = _step_order(
+            step_order, [0] if self._remote else range(regions)
+        )
         self._own_fleet = fleet is None
         self._fleet = fleet if fleet is not None else SpaceFleet()
-        self._finished = False
-        self._details: List[Optional[Tuple[str, str, int]]] = (
-            [None] * regions
-        )
-        self._ctl = _ControlBlock.create(regions)
+        self._ctl: Optional[_ControlBlock] = None
+        self._futures: List[Any] = []
+        self._seq = 1
         self._rings: Dict[Tuple[int, int], BoundaryRing] = {}
         try:
             for s in range(regions):
                 for d in range(regions):
                     if s != d:
                         self._rings[(s, d)] = BoundaryRing.create(
-                            ring_words or _RING_WORDS, CODEC_VERSION
+                            ring_words, CODEC_VERSION
                         )
-            pool = self._fleet.ensure(regions)
-            self._futures: List[Optional[Any]] = []
-            for r in range(regions):
+            self._local = {
+                r: _RingEndpoint(
+                    RegionState(spec, r, first if r == 0 else None),
+                    self._rings,
+                )
+                for r in self._order
+            }
+            if self._remote:
+                self._ctl = _ControlBlock.create(regions)
+                pool = self._fleet.ensure(regions)
+            for r in self._remote:
                 task = SweepTask.make(
                     r,
                     "repro.parallel.spacetime:_worker_serve",
                     {
                         "spec": spec,
                         "region": r,
-                        "regions": regions,
                         "control": self._ctl.name,
-                        "rings_in": tuple(
-                            (s, self._rings[(s, r)].name)
-                            for s in range(regions)
-                            if s != r
-                        ),
-                        "rings_out": tuple(
-                            (d, self._rings[(r, d)].name)
-                            for d in range(regions)
-                            if d != r
-                        ),
+                        "rings": {
+                            pair: ring.name
+                            for pair, ring in self._rings.items()
+                        },
                     },
                     label=f"{spec.label}:r{r}:serve",
                 )
                 self._futures.append(pool.submit(task))
-            self._seq = 1
         except BaseException:
-            self._release_shm()
+            self.close()
             raise
 
     # -- protocol ------------------------------------------------------
@@ -1179,7 +1161,7 @@ class _ShmRunners:
         During the FINISH exchange itself (``finishing=True``) clean
         completions are the expected outcome; only failures raise."""
         for future in self._futures:
-            if future is not None and future.done():
+            if future.done():
                 result = future.result()
                 if finishing and result.ok:
                     continue
@@ -1190,112 +1172,115 @@ class _ShmRunners:
                 )
 
     def _issue(self, cmd: int, arg0: int = 0, arg1: int = 0) -> int:
-        seq = self._seq + 1
-        self._seq = seq
+        seq = self._seq = self._seq + 1
         ctl = self._ctl
-        for r in range(self.regions):
+        for r in self._remote:
             ctl.put(r, _S_ARG0, arg0)
             ctl.put(r, _S_ARG1, arg1)
             ctl.put(r, _S_CMD, cmd)
             ctl.put(r, _S_CMD_SEQ, seq)  # published last (seqlock)
         return seq
 
+    def _each(self, cmd: int, local, arg0: int = 0, arg1: int = 0) -> list:
+        """Issue ``cmd`` to every worker, apply ``local`` to each local
+        endpoint meanwhile, then wait for the workers' acks.  Returns
+        the local results, indexed by region."""
+        seq = self._issue(cmd, arg0, arg1)
+        results: list = [None] * self.regions
+        for r in self._order:
+            results[r] = local(self._local[r])
+        self._wait_acks(seq, finishing=cmd == _CMD_FINISH)
+        return results
+
     def _wait_acks(self, seq: int, finishing: bool = False) -> None:
         ctl = self._ctl
-        for r in range(self.regions):
+        for r in self._remote:
             _spin_wait(
                 lambda r=r: True if ctl.get(r, _S_ACK) == seq else None,
                 poll=lambda: self._poll(finishing),
             )
 
     def prepare_all(self) -> List[Dict[str, Any]]:
-        self._wait_acks(1)
-        prep = []
+        prep: List[Any] = [None] * self.regions
+        for r in self._order:
+            prep[r] = self._local[r].state.initial()
+        self._wait_acks(1)  # workers ack their build with sequence 1
         ctl = self._ctl
-        for r in range(self.regions):
+        for r in self._remote:
             nxt = ctl.get(r, _S_NEXT)
-            prep.append(
-                {
-                    "regions": ctl.get(r, _S_FIRED),
-                    "window": ctl.get(r, _S_LAST_LIVE),
-                    "next": None if nxt < 0 else nxt,
-                }
-            )
+            prep[r] = {
+                "regions": ctl.get(r, _S_FIRED),
+                "window": ctl.get(r, _S_LAST_LIVE),
+                "next": None if nxt < 0 else nxt,
+            }
         return prep
 
     def step_all(self, barrier: int, max_events: int) -> List[StepOutcome]:
-        seq = self._issue(_CMD_STEP, barrier, max_events)
-        self._wait_acks(seq)
-        ctl = self._ctl
+        outcomes = self._each(
+            _CMD_STEP,
+            lambda endpoint: endpoint.step(barrier, max_events),
+            barrier,
+            max_events,
+        )
         # A full ring leaves encoded words spilled at the producer.
         # Alternate "consumers drain+inject" / "producers flush" rounds
         # until everything landed: each flush moves >= one record (or a
         # whole freed ring's worth), so the loop terminates.
-        while any(
-            ctl.get(r, _S_SPILL) for r in range(self.regions)
+        ctl = self._ctl
+        while any(e.spilled for e in self._local.values()) or any(
+            ctl.get(r, _S_SPILL) for r in self._remote
         ):
             self.stats["spill_rounds"] += 1
-            self._wait_acks(self._issue(_CMD_DRAIN_IN))
-            self._wait_acks(self._issue(_CMD_DRAIN_OUT))
-        outcomes = []
-        for r in range(self.regions):
+            self._each(_CMD_DRAIN_IN, _RingEndpoint.drain_in)
+            self._each(_CMD_DRAIN_OUT, _RingEndpoint.drain_out)
+        for r in self._remote:
             nxt = ctl.get(r, _S_NEXT)
-            error = (
-                ("", "", ctl.get(r, _S_ERR_CYCLE))
-                if ctl.get(r, _S_ERR)
-                else None
-            )
-            outcomes.append(
-                StepOutcome(
-                    region=r,
-                    next_time=None if nxt < 0 else nxt,
-                    fired=ctl.get(r, _S_FIRED),
-                    last_live=ctl.get(r, _S_LAST_LIVE),
-                    staged={},
-                    error=error,
-                    staged_min=ctl.get(r, _S_STAGED_MIN),
-                )
+            err = ctl.get(r, _S_ERR)
+            outcomes[r] = StepOutcome(
+                region=r,
+                next_time=None if nxt < 0 else nxt,
+                fired=ctl.get(r, _S_FIRED),
+                last_live=ctl.get(r, _S_LAST_LIVE),
+                staged={},
+                error=None if err < 0 else ("", "", err),
+                staged_min=ctl.get(r, _S_STAGED_MIN),
             )
         return outcomes
 
     def finish_all(self, elapsed: int) -> List[RegionHarvest]:
         ctl = self._ctl
         stats = self.stats
-        for r in range(self.regions):
+        for endpoint in self._local.values():
+            stats["bytes"] += 8 * endpoint.words
+            stats["messages"] += endpoint.messages
+        for r in self._remote:
             stats["bytes"] += 8 * ctl.get(r, _S_WORDS)
             stats["messages"] += ctl.get(r, _S_MSGS)
-        seq = self._issue(_CMD_FINISH, elapsed)
-        self._wait_acks(seq, finishing=True)
-        harvests = []
-        for r, future in enumerate(self._futures):
+        harvests = [
+            harvest
+            for harvest in self._each(
+                _CMD_FINISH,
+                lambda endpoint: endpoint.state.finish(elapsed),
+                elapsed,
+            )
+            if harvest is not None
+        ]
+        for r, future in zip(self._remote, self._futures):
             result = future.result(timeout=60)
             if not result.ok:
                 raise SimulationError(
                     f"space region worker failed ({result.label}): "
                     f"{result.error}"
                 )
-            harvest, detail = result.value
-            self._details[r] = detail
-            harvests.append(harvest)
-        self._futures = [None] * self.regions
-        self._finished = True
+            harvests.append(result.value)
+        self._futures = []
         return harvests
-
-    def error_detail(self, region: int) -> Optional[Tuple[str, str]]:
-        detail = self._details[region]
-        return None if detail is None else (detail[0], detail[1])
-
-    def _release_shm(self) -> None:
-        self._ctl.close(unlink=True)
-        for ring in self._rings.values():
-            ring.close(unlink=True)
-        self._rings.clear()
 
     def close(self) -> None:
         try:
             if self._own_fleet:
                 self._fleet.shutdown()
-            elif not self._finished:
+            elif self._futures:
                 # Shared fleet and the run is bailing out: tell the
                 # servers to return so their workers go back to idle; a
                 # server that will not come back poisons the pool, so
@@ -1303,12 +1288,16 @@ class _ShmRunners:
                 try:
                     self._issue(_CMD_ABORT)
                     for future in self._futures:
-                        if future is not None:
-                            future.result(timeout=10)
+                        future.result(timeout=10)
                 except BaseException:
                     self._fleet.reset()
         finally:
-            self._release_shm()
+            if self._ctl is not None:
+                self._ctl.close(unlink=True)
+                self._ctl = None
+            for ring in self._rings.values():
+                ring.close(unlink=True)
+            self._rings.clear()
 
 
 # ----------------------------------------------------------------------
@@ -1481,9 +1470,10 @@ def run_space(
     """Drive one space-partitioned run to completion.
 
     ``jobs <= 1`` executes every region in this process (the serial
-    reference); ``jobs >= 2`` pins each region to its own persistent
-    worker process, exchanging staged messages as codec records through
-    shared-memory boundary rings.  Both run the identical window
+    reference); ``jobs >= 2`` steps region 0 in this process and pins
+    every other region to its own persistent worker process — R
+    regions, R processes — exchanging staged messages as codec records
+    through shared-memory boundary rings.  Both run the identical window
     protocol over identical :class:`RegionState` objects, so their
     outputs are byte-identical — the space test suite's central claim.
     Every window is :attr:`SpaceMachine.window` cycles wide.
@@ -1492,8 +1482,8 @@ def run_space(
     ``step_order`` permutes the order regions step in, and
     ``transport="shm"`` moves staged messages through real boundary
     rings as codec bytes instead of handing over live objects
-    (``"memory"``), so one process reproduces exactly what the worker
-    processes exchange (they always use the rings).
+    (``"memory"``): the parallel runner with no workers, so one process
+    reproduces exactly what the worker processes exchange.
 
     ``fleet`` lends a persistent :class:`SpaceFleet` whose warm worker
     processes survive this run (``repro serve``); by default the run
@@ -1504,25 +1494,20 @@ def run_space(
             f"unknown in-process space transport {transport!r} "
             "(choose memory or shm)"
         )
-    probe = spec.build(0)
-    regions = probe.regions
-    window = probe.window
-    ring_words = _ring_words_for(probe.params)
-    del probe
-
-    if jobs <= 1 or regions == 1:
-        runners = _SerialRunners(
-            spec,
-            regions,
-            step_order=step_order,
-            transport=transport,
-            ring_words=ring_words,
-        )
+    # Region 0's machine: read the partition off it, then step it.
+    first = spec.build(0)
+    regions = first.regions
+    window = first.window
+    if jobs <= 1 and transport == "memory":
+        runners = _SerialRunners(spec, first, step_order)
     else:
-        if step_order is not None:
-            raise ConfigError("step_order is a serial-mode test knob")
         runners = _ShmRunners(
-            spec, regions, fleet=fleet, ring_words=ring_words
+            spec,
+            first,
+            jobs,
+            _ring_words_for(first.params),
+            step_order=step_order,
+            fleet=fleet,
         )
 
     run = SpaceRun(spec=spec, regions=regions, window=window)
@@ -1547,7 +1532,7 @@ def run_space(
         remaining = spec.max_events
         max_cycles = spec.max_cycles
         clock = 0
-        error: Optional[Tuple[int, str, str, int]] = None
+        failed: Optional[StepOutcome] = None
         hit_horizon = False
         barriers = 0
         barrier_wall = 0.0
@@ -1577,13 +1562,13 @@ def run_space(
                     clock = outcome.last_live
                 remaining -= outcome.fired
                 staged_mins.append(outcome.staged_min)
-            failed = [o for o in outcomes if o.error is not None]
-            if failed:
-                worst = min(failed, key=lambda o: o.region)
-                error = (worst.region,) + worst.error  # type: ignore[operator]
+            # Outcomes come in region order: the lowest region's error
+            # wins, under every runner.
+            failed = next((o for o in outcomes if o.error is not None), None)
+            if failed is not None:
                 break
-        if error is not None:
-            clock = error[3]
+        if failed is not None:
+            clock = failed.error[2]
         elif max_cycles is not None:
             # The plain engine's run(until=max_cycles) clamps the clock
             # to the horizon even when the queue drained earlier.
@@ -1596,14 +1581,11 @@ def run_space(
             "barrier_wall_s": barrier_wall,
             **runners.stats,
         }
-        if error is not None:
-            run.error_region = error[0]
-            type_name, text = error[1], error[2]
-            detail = runners.error_detail(error[0])
-            if detail is not None:
-                # shm outcomes carry a placeholder during the run; the
-                # full text shipped once, with the harvest.
-                type_name, text = detail
+        if failed is not None:
+            run.error_region = failed.region
+            # Worker outcomes carry a placeholder during the run; the
+            # full text ships once, with the harvest.
+            type_name, text, _cycle = run.harvests[failed.region].error
             run.error = _rebuild_error(type_name, text)
             return run
         blocked = [line for h in run.harvests for line in h.blocked]

@@ -8,7 +8,8 @@ from many concurrent clients over JSON lines (TCP or unix socket) and
 dispatches them onto one long-lived
 :class:`~repro.parallel.executor.WorkerPool`.  With ``--space-jobs`` it
 also keeps a warm :class:`~repro.parallel.spacetime.SpaceFleet` whose
-region worker processes persist across ``space`` requests.
+region worker processes persist across ``space`` requests (the
+request's handler thread steps region 0 itself).
 
 Request lifecycle (documented in DESIGN §11):
 
@@ -128,8 +129,9 @@ class ReproDaemon:
             # processes persist across requests, so repeat space runs
             # skip process spawn and interpreter warm-up entirely.
             # This is the one place the daemon process imports
-            # simulation code — the space *driver* runs inline (it is
-            # control-plane only; regions simulate in the fleet).
+            # simulation code: a space request's handler thread runs
+            # the window loop inline and steps region 0 itself, while
+            # the fleet's space_jobs - 1 workers step the other regions.
             from repro.parallel.spacetime import SpaceFleet
 
             self._space_fleet = SpaceFleet(jobs=self.space_jobs)
@@ -549,11 +551,11 @@ class ReproDaemon:
     ) -> Any:
         timer.running()
         if spec.name == "space" and self._space_fleet is not None:
-            # Space runs use the warm region fleet in the daemon
-            # process instead of a pool worker; the fleet's ring/control
-            # segments are single-driver, so runs serialize on a lock
-            # (the payload is cacheable + coalesced, so contention is
-            # rare in practice).
+            # Space runs step region 0 on this handler thread and the
+            # other regions on the warm region fleet, instead of a pool
+            # worker; the fleet serves one run at a time, so runs
+            # serialize on a lock (the payload is cacheable + coalesced,
+            # so contention is rare in practice).
             from repro.server.ops import space_point
 
             t0 = time.perf_counter()

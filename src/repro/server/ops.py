@@ -65,10 +65,11 @@ def space_point(
     so it moves the same codec bytes the region processes would.  A
     daemon started with ``--space-jobs`` instead calls it inline with
     its warm :class:`~repro.parallel.spacetime.SpaceFleet`
-    (``jobs >= 2``), reusing the same region worker processes across
-    requests.  Both paths produce byte-identical payloads: every field
-    below is deterministic for a given (seed, faults, regions, window)
-    key, which is what makes the op cacheable.
+    (``jobs >= 2``): the calling thread steps region 0 and the same
+    region worker processes step the rest across requests.  Both paths
+    produce byte-identical payloads: every field below is deterministic
+    for a given (seed, faults, regions, window) key, which is what
+    makes the op cacheable.
     """
     from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
 

@@ -11,7 +11,8 @@ partitioned model produces byte-identical results:
 * the serial driver with a permuted region step order, every exchange
   codec-packed through real boundary rings (the exact bytes the worker
   processes move),
-* one worker process per region (``run_space(spec, jobs=N)``).
+* the calling process stepping region 0 and one worker process per
+  other region (``run_space(spec, jobs=N)``).
 
 Plus the one exact reduction: a 1-region space machine IS the plain
 machine (same clock, same messages, same events, same answers).
@@ -19,6 +20,8 @@ machine (same clock, same messages, same events, same answers).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -26,10 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import PAPER_PARAMS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.machine import PlusMachine
 from repro.network.fabric import Fabric
 from repro.parallel.spacetime import (
+    SpaceFleet,
     SpaceMachine,
     SpaceSpec,
     default_window,
@@ -90,6 +94,55 @@ def test_space_run_matches_across_worker_processes(seed, faults):
     serial = run_checksums(run_space(spec, jobs=1))
     parallel = run_checksums(run_space(spec, jobs=2))
     assert parallel == serial
+
+
+def _new_children(before):
+    """Live child processes of this process not in ``before``
+    (``active_children`` joins exited ones as a side effect)."""
+    return [
+        p
+        for p in multiprocessing.active_children()
+        if p not in before and p.is_alive()
+    ]
+
+
+def test_r_regions_run_in_r_processes():
+    # The caller steps region 0 itself: a 2-region run starts exactly
+    # one worker, which the fleet reaps on shutdown.
+    before = set(multiprocessing.active_children())
+    with SpaceFleet() as fleet:
+        run = run_space(_spec(3, 2), jobs=2, fleet=fleet)
+        assert len(_new_children(before)) == 1
+    run.raise_if_error()
+    assert _new_children(before) == []
+
+
+def build_dying_region(region: int = 0):
+    """A SpaceSpec machine whose region-1 program kills the process that
+    steps it mid-run (only ever run with ``jobs >= 2``, where that
+    process is a region worker)."""
+    machine = SpaceMachine(n_nodes=4, width=2, height=2, regions=2)
+
+    def steady(ctx):
+        for _ in range(20):
+            yield from ctx.compute(50)
+
+    def dies(ctx):
+        yield from ctx.compute(200)
+        os._exit(3)
+
+    machine.spawn(0, steady)
+    machine.spawn(2, dies)
+    machine.set_active_region(region)
+    return machine
+
+
+def test_region_worker_death_raises_instead_of_hanging():
+    before = set(multiprocessing.active_children())
+    spec = SpaceSpec.make(f"{__name__}:build_dying_region", label="dies")
+    with pytest.raises(SimulationError, match="worker exited mid-run"):
+        run_space(spec, jobs=2)
+    assert _new_children(before) == []
 
 
 def test_one_region_reduces_exactly_to_the_plain_machine():
