@@ -23,18 +23,7 @@ Quickstart::
     report = machine.run()
 """
 
-from repro.core.params import PAPER_PARAMS, OpCode, TimingParams
-from repro.errors import (
-    ConfigError,
-    DeadlockError,
-    PlusError,
-    ProtocolError,
-    SimulationError,
-)
-from repro.machine import PlusMachine
-from repro.runtime.shm import QueueHandle, Segment
-from repro.runtime.thread import ThreadCtx
-from repro.stats.report import RunReport, format_table
+from repro import _lazy
 
 __version__ = "1.0.0"
 
@@ -55,3 +44,15 @@ __all__ = [
     "format_table",
     "__version__",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "core.params": ["PAPER_PARAMS", "OpCode", "TimingParams"],
+    "errors": [
+        "ConfigError", "DeadlockError", "PlusError", "ProtocolError",
+        "SimulationError",
+    ],
+    "machine": ["PlusMachine"],
+    "runtime.shm": ["QueueHandle", "Segment"],
+    "runtime.thread": ["ThreadCtx"],
+    "stats.report": ["RunReport", "format_table"],
+})

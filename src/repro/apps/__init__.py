@@ -1,41 +1,7 @@
 """Evaluation applications: shortest path, beam search, production
 system, and the crash-recovery 2PC bank ledger."""
 
-from repro.apps.beam import BeamConfig, BeamResult, BeamSearchApp, run_beam
-from repro.apps.ledger import (
-    LedgerApp,
-    LedgerConfig,
-    LedgerResult,
-    derive_crashes,
-    run_ledger,
-    run_ledger_sweep,
-    verify_ledger,
-)
-from repro.apps.graphs import (
-    Graph,
-    Lattice,
-    beam_search_reference,
-    dijkstra,
-    geometric_graph,
-    initial_costs,
-    layered_lattice,
-)
-from repro.apps.prodsys import (
-    ProductionSystem,
-    ProdSysApp,
-    Rule,
-    random_production_system,
-    run_prodsys,
-    run_reference,
-)
-from repro.apps.sssp import SSSPApp, SSSPConfig, SSSPResult, run_sssp
-from repro.apps.stencil import (
-    StencilApp,
-    StencilConfig,
-    StencilResult,
-    run_stencil,
-    stencil_reference,
-)
+from repro import _lazy
 
 __all__ = [
     "BeamConfig",
@@ -72,3 +38,24 @@ __all__ = [
     "stencil_reference",
     "verify_ledger",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "beam": ["BeamConfig", "BeamResult", "BeamSearchApp", "run_beam"],
+    "ledger": [
+        "LedgerApp", "LedgerConfig", "LedgerResult", "derive_crashes",
+        "run_ledger", "run_ledger_sweep", "verify_ledger",
+    ],
+    "graphs": [
+        "Graph", "Lattice", "beam_search_reference", "dijkstra",
+        "geometric_graph", "initial_costs", "layered_lattice",
+    ],
+    "prodsys": [
+        "ProductionSystem", "ProdSysApp", "Rule", "random_production_system",
+        "run_prodsys", "run_reference",
+    ],
+    "sssp": ["SSSPApp", "SSSPConfig", "SSSPResult", "run_sssp"],
+    "stencil": [
+        "StencilApp", "StencilConfig", "StencilResult", "run_stencil",
+        "stencil_reference",
+    ],
+})

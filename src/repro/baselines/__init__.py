@@ -1,5 +1,7 @@
 """Baselines the paper argues against, for the comparison benchmarks."""
 
-from repro.baselines.gottlieb import GottliebQueue
+from repro import _lazy
 
 __all__ = ["GottliebQueue"]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {"gottlieb": ["GottliebQueue"]})

@@ -14,16 +14,7 @@ This package model-checks the simulator against itself:
   hide), driven by ``python -m repro check``.
 """
 
-from repro.check.invariants import InvariantMonitor
-from repro.check.oracle import CoherenceOracle, OracleReport, Violation
-from repro.check.stress import (
-    JitteredLinkModel,
-    StressConfig,
-    StressResult,
-    inject_skip_last_hop,
-    run_seeds,
-    run_stress,
-)
+from repro import _lazy
 
 __all__ = [
     "CoherenceOracle",
@@ -37,3 +28,12 @@ __all__ = [
     "run_seeds",
     "run_stress",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "invariants": ["InvariantMonitor"],
+    "oracle": ["CoherenceOracle", "OracleReport", "Violation"],
+    "stress": [
+        "JitteredLinkModel", "StressConfig", "StressResult",
+        "inject_skip_last_hop", "run_seeds", "run_stress",
+    ],
+})

@@ -34,10 +34,6 @@ import os
 import sys
 from typing import List
 
-from repro.core.params import PAPER_PARAMS, OpCode
-from repro.machine import PlusMachine
-from repro.stats.report import format_table
-
 
 def _resolve_jobs(args) -> int:
     """``--jobs 0`` means one worker per core; positive requests are
@@ -52,6 +48,7 @@ def _resolve_jobs(args) -> int:
 def _cmd_table_2_1(args) -> int:
     from repro.apps.graphs import dijkstra, geometric_graph
     from repro.apps.sssp import SSSPConfig, run_sssp
+    from repro.stats.report import format_table
 
     graph = geometric_graph(
         args.vertices, degree=5, long_edge_fraction=0.08, seed=7
@@ -88,6 +85,7 @@ def _cmd_table_2_1(args) -> int:
 
 def _cmd_fig_2_1(args) -> int:
     from repro.parallel import SweepTask, run_sweep
+    from repro.stats.report import format_table
 
     sweep = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= args.max_nodes]
     tasks = [
@@ -132,6 +130,10 @@ def _cmd_fig_2_1(args) -> int:
 
 
 def _cmd_table_3_1(args) -> int:
+    from repro.core.params import PAPER_PARAMS, OpCode
+    from repro.machine import PlusMachine
+    from repro.stats.report import format_table
+
     del args
     cases = [
         (OpCode.XCHNG, 5),
@@ -188,6 +190,7 @@ def _cmd_table_3_1(args) -> int:
 def _cmd_fig_3_1(args) -> int:
     from repro.parallel import SweepTask, run_sweep
     from repro.parallel.grid import BEAM_MODES
+    from repro.stats.report import format_table
 
     beam = 60
     # Task 0 is the single-node blocking baseline the efficiency column
@@ -243,6 +246,10 @@ def _cmd_fig_3_1(args) -> int:
 
 
 def _cmd_costs(args) -> int:
+    from repro.core.params import PAPER_PARAMS
+    from repro.machine import PlusMachine
+    from repro.stats.report import format_table
+
     del args
     machine = PlusMachine(n_nodes=4, width=4, height=1)
     seg = machine.shm.alloc(2, home=1)
@@ -312,6 +319,7 @@ def _cmd_run(args) -> int:
         run_checksums,
         run_space,
     )
+    from repro.stats.report import format_table
 
     regions = _space_regions(args)
     if args.workload == "sssp":
@@ -659,6 +667,7 @@ def _int_list(text: str) -> List[int]:
 def _cmd_sweep(args) -> int:
     """Run a parameter grid across worker processes, print one table."""
     from repro.parallel import SweepTask, expand_grid, run_sweep, shard_tasks
+    from repro.stats.report import format_table
 
     if args.placement:
         args.experiment = "placement"

@@ -1,11 +1,6 @@
 """The paper's primary contribution: coherence protocol + delayed ops."""
 
-from repro.core.coherence import CoherenceManager
-from repro.core.copylist import CMTables, CopyList
-from repro.core.delayed import DelayedOpsCache, Token
-from repro.core.ops import OpOutcome, execute_op
-from repro.core.params import PAPER_PARAMS, OpCode, TimingParams
-from repro.core.pending import PendingWrites
+from repro import _lazy
 
 __all__ = [
     "CMTables",
@@ -20,3 +15,12 @@ __all__ = [
     "Token",
     "execute_op",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "coherence": ["CoherenceManager"],
+    "copylist": ["CMTables", "CopyList"],
+    "delayed": ["DelayedOpsCache", "Token"],
+    "ops": ["OpOutcome", "execute_op"],
+    "params": ["PAPER_PARAMS", "OpCode", "TimingParams"],
+    "pending": ["PendingWrites"],
+})

@@ -6,9 +6,7 @@ above the coherence core and are not re-exported here to keep the import
 graph acyclic.
 """
 
-from repro.memory.address import PhysAddr, PhysPage
-from repro.memory.mapping import TLB, PageTable
-from repro.memory.physical import LocalMemory, PageFrame
+from repro import _lazy
 
 __all__ = [
     "LocalMemory",
@@ -18,3 +16,9 @@ __all__ = [
     "PhysPage",
     "TLB",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "address": ["PhysAddr", "PhysPage"],
+    "mapping": ["TLB", "PageTable"],
+    "physical": ["LocalMemory", "PageFrame"],
+})

@@ -1,7 +1,11 @@
 """Node model: processor, cache, and their wiring."""
 
-from repro.node.cache import DirectMappedCache
-from repro.node.cpu import CPU, SimThread, ThreadStatus
-from repro.node.node import Node
+from repro import _lazy
 
 __all__ = ["CPU", "DirectMappedCache", "Node", "SimThread", "ThreadStatus"]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "cache": ["DirectMappedCache"],
+    "cpu": ["CPU", "SimThread", "ThreadStatus"],
+    "node": ["Node"],
+})

@@ -24,36 +24,7 @@ is byte-identical to the serial run:
   window barriers, bit-identical to the serial space driver.
 """
 
-from repro.parallel.executor import (
-    PoolFuture,
-    ProgressLine,
-    WorkerPool,
-    default_context,
-    effective_jobs,
-    run_sweep,
-)
-from repro.parallel.grid import expand_grid
-from repro.parallel.spacetime import (
-    RegionState,
-    SpaceFabric,
-    SpaceMachine,
-    SpaceRun,
-    SpaceSpec,
-    default_window,
-    effective_regions,
-    lookahead_bound,
-    memory_checksum,
-    run_checksums,
-    run_space,
-    trace_checksum,
-)
-from repro.parallel.tasks import (
-    SweepTask,
-    TaskResult,
-    execute,
-    parse_shard,
-    shard_tasks,
-)
+from repro import _lazy
 
 __all__ = [
     "PoolFuture",
@@ -81,3 +52,20 @@ __all__ = [
     "shard_tasks",
     "trace_checksum",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "executor": [
+        "PoolFuture", "ProgressLine", "WorkerPool", "default_context",
+        "effective_jobs", "run_sweep",
+    ],
+    "grid": ["expand_grid"],
+    "spacetime": [
+        "RegionState", "SpaceFabric", "SpaceMachine", "SpaceRun",
+        "SpaceSpec", "default_window", "effective_regions",
+        "lookahead_bound", "memory_checksum", "run_checksums", "run_space",
+        "trace_checksum",
+    ],
+    "tasks": [
+        "SweepTask", "TaskResult", "execute", "parse_shard", "shard_tasks",
+    ],
+})

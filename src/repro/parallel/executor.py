@@ -17,8 +17,9 @@ contract, in priority order:
    the ``repro serve`` daemon and the space-parallel
    :class:`~repro.parallel.spacetime.SpaceFleet` keep one warm across
    requests.  Each worker is created once and runs many tasks, so
-   import/build cost is paid per worker, not per task.  On platforms
-   with ``fork`` the import cost is inherited outright.
+   import/build cost is paid per worker, not per task: each worker
+   imports the simulator before its first task (a no-op for what it
+   inherited from its parent through ``fork``).
 3. **Crash isolation** — a worker that dies mid-task (segfault, OOM
    kill) is detected by the pool, the task it held is reported as a
    crashed :class:`TaskResult` naming the task, and a replacement
@@ -175,6 +176,14 @@ def _worker_main(wid, task_q, conn, current) -> None:
             w, _, ms = part.partition(":")
             if w.strip() == str(wid):
                 delay_s = float(ms) / 1000.0
+    # Compile the simulator before taking a task.  The daemon and the
+    # sweep commands fork workers from a process that never imported
+    # it, so otherwise every worker, and every respawn, would compile
+    # it inside its first task: for the daemon, inside a client's timed
+    # request.  Under a parent that imported it, these are no-ops.
+    import repro.machine  # noqa: F401
+    import repro.runtime.collections  # noqa: F401
+
     try:
         while True:
             item = task_q.get()

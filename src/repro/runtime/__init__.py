@@ -1,27 +1,6 @@
 """Programming model: thread contexts, shared memory, synchronization."""
 
-from repro.runtime.requests import (
-    AwaitResult,
-    Compute,
-    Fence,
-    Issue,
-    PollResult,
-    Read,
-    Write,
-)
-from repro.runtime.collections import WorkPool
-from repro.runtime.prefetch import EagerDequeuer, ReadPipeline
-from repro.runtime.shm import QueueHandle, Segment, SharedMemory
-from repro.runtime.sync import (
-    Barrier,
-    Mailboxes,
-    QueueLock,
-    ReadWriteLock,
-    Semaphore,
-    SpinLock,
-    TreeBarrier,
-)
-from repro.runtime.thread import ThreadCtx
+from repro import _lazy
 
 __all__ = [
     "AwaitResult",
@@ -46,3 +25,18 @@ __all__ = [
     "ThreadCtx",
     "Write",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "requests": [
+        "AwaitResult", "Compute", "Fence", "Issue", "PollResult", "Read",
+        "Write",
+    ],
+    "collections": ["WorkPool"],
+    "prefetch": ["EagerDequeuer", "ReadPipeline"],
+    "shm": ["QueueHandle", "Segment", "SharedMemory"],
+    "sync": [
+        "Barrier", "Mailboxes", "QueueLock", "ReadWriteLock", "Semaphore",
+        "SpinLock", "TreeBarrier",
+    ],
+    "thread": ["ThreadCtx"],
+})

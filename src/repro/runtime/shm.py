@@ -26,10 +26,24 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 
-try:  # pragma: no cover - exercised wherever the stdlib has it
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - minimal platforms
-    _shared_memory = None
+
+def _load_shared_memory():
+    """``multiprocessing.shared_memory``, or None on platforms without it.
+
+    Imported on first use: only the space-parallel transport needs it,
+    and it pulls most of ``multiprocessing`` into every simulator process.
+    """
+    try:
+        from multiprocessing import shared_memory
+    except ImportError:  # pragma: no cover - minimal platforms
+        return None
+    return shared_memory
+
+
+def __getattr__(name: str):
+    if name == "_shared_memory":
+        return _load_shared_memory()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Segment:
@@ -222,7 +236,8 @@ class BoundaryRing:
     # -- construction --------------------------------------------------
     @classmethod
     def create(cls, capacity_words: int, version: int) -> "BoundaryRing":
-        if _shared_memory is None:  # pragma: no cover
+        shared_memory = _load_shared_memory()
+        if shared_memory is None:  # pragma: no cover
             raise ConfigError(
                 "multiprocessing.shared_memory is unavailable on this "
                 "platform; run the serial space driver (jobs=1)"
@@ -231,7 +246,7 @@ class BoundaryRing:
             raise ConfigError(
                 f"ring capacity must be >= 8 words (got {capacity_words})"
             )
-        shm = _shared_memory.SharedMemory(
+        shm = shared_memory.SharedMemory(
             create=True, size=8 * (cls._HEADER + capacity_words)
         )
         words = shm.buf.cast("q")
@@ -245,12 +260,13 @@ class BoundaryRing:
 
     @classmethod
     def attach(cls, name: str, version: int) -> "BoundaryRing":
-        if _shared_memory is None:  # pragma: no cover
+        shared_memory = _load_shared_memory()
+        if shared_memory is None:  # pragma: no cover
             raise ConfigError(
                 "multiprocessing.shared_memory is unavailable on this "
                 "platform; run the serial space driver (jobs=1)"
             )
-        shm = _shared_memory.SharedMemory(name=name)
+        shm = shared_memory.SharedMemory(name=name)
         ring = cls(shm, owner=False)
         if ring.version != version:
             spoken = ring.version

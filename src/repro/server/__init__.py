@@ -9,17 +9,7 @@ finished results, and dispatches misses onto a long-lived
 (:mod:`repro.server.client`) backs the ``repro submit`` CLI.
 """
 
-from repro.server.cache import ResultCache, canonical_key
-from repro.server.client import DaemonUnavailable, ReproClient
-from repro.server.daemon import ReproDaemon
-from repro.server.protocol import (
-    OPS,
-    OpSpec,
-    Param,
-    ProtocolError,
-    get_op,
-    register_op,
-)
+from repro import _lazy
 
 __all__ = [
     "OPS",
@@ -34,3 +24,12 @@ __all__ = [
     "get_op",
     "register_op",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "cache": ["ResultCache", "canonical_key"],
+    "client": ["DaemonUnavailable", "ReproClient"],
+    "daemon": ["ReproDaemon"],
+    "protocol": [
+        "OPS", "OpSpec", "Param", "ProtocolError", "get_op", "register_op",
+    ],
+})

@@ -75,15 +75,15 @@ class ResultCache:
         """Warm the LRU from disk; anything unusable means cold start.
 
         A missing file, torn JSON (pre-``os.replace`` crashes cannot
-        produce one, but other writers can), a foreign schema version,
-        or a malformed shape all silently yield an empty cache — a
-        persistent cache must never be able to keep the daemon from
-        booting.
+        produce one, but other writers can), JSON nested too deep for
+        the parser's recursion, a foreign schema version, or a malformed
+        shape all silently yield an empty cache — a persistent cache
+        must never be able to keep the daemon from booting.
         """
         try:
             with open(self.persist_path, "r", encoding="utf-8") as fh:
                 blob = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return
         if not isinstance(blob, dict) or blob.get("schema") != PROTOCOL_VERSION:
             return

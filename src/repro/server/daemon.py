@@ -270,7 +270,7 @@ class ReproDaemon:
                     continue
                 try:
                     request = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):
                     self._send(
                         client,
                         self._error_envelope(

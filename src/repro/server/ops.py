@@ -3,8 +3,10 @@
 Like :mod:`repro.parallel.grid`, every function here is a
 :class:`~repro.parallel.tasks.SweepTask` target: module-level,
 importable by path, picklable kwargs in, a plain JSON-serializable dict
-out.  The daemon never imports simulation code into its own process —
-these run inside the warm worker pool.
+out.  Without ``--space-jobs`` the daemon process imports no simulation
+code: these run inside the warm worker pool.  With ``--space-jobs`` a
+``space`` request's handler thread calls :func:`space_point` inline and
+steps region 0 itself, while the daemon's region fleet steps the rest.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Discrete-event simulation kernel underlying the PLUS machine model."""
 
-from repro.sim.engine import Engine
-from repro.sim.process import WaitQueue
+from repro import _lazy
 
 __all__ = ["Engine", "WaitQueue"]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "engine": ["Engine"],
+    "process": ["WaitQueue"],
+})

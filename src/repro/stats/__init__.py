@@ -1,9 +1,6 @@
 """Instrumentation: counters and run reports."""
 
-from repro.stats.counters import MachineCounters, NodeCounters
-from repro.stats.report import RunReport, format_table
-from repro.stats.service import RequestTimer, ServiceStats
-from repro.stats.trace import ProtocolTrace, TraceEntry
+from repro import _lazy
 
 __all__ = [
     "MachineCounters",
@@ -15,3 +12,10 @@ __all__ = [
     "TraceEntry",
     "format_table",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "counters": ["MachineCounters", "NodeCounters"],
+    "report": ["RunReport", "format_table"],
+    "service": ["RequestTimer", "ServiceStats"],
+    "trace": ["ProtocolTrace", "TraceEntry"],
+})

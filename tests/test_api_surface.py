@@ -4,7 +4,16 @@ import pytest
 
 import repro
 import repro.apps
+import repro.baselines
+import repro.check
+import repro.core
+import repro.memory
+import repro.network
+import repro.node
+import repro.parallel
 import repro.runtime
+import repro.server
+import repro.sim
 import repro.stats
 from repro.errors import PlusError, ProtocolError
 from repro.machine import PlusMachine
@@ -14,7 +23,22 @@ from tests.helpers import run_threads
 
 class TestExports:
     @pytest.mark.parametrize(
-        "module", [repro, repro.apps, repro.runtime, repro.stats]
+        "module",
+        [
+            repro,
+            repro.apps,
+            repro.runtime,
+            repro.stats,
+            repro.core,
+            repro.node,
+            repro.network,
+            repro.memory,
+            repro.sim,
+            repro.check,
+            repro.parallel,
+            repro.server,
+            repro.baselines,
+        ],
     )
     def test_all_names_resolve(self, module):
         for name in module.__all__:

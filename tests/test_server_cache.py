@@ -209,6 +209,14 @@ class TestPersistence:
         )
         assert ResultCache(8, persist_path=str(malformed)).loaded == 0
 
+    def test_too_deeply_nested_file_is_a_cold_start(self, tmp_path):
+        # json.load recurses per nesting level: this raises
+        # RecursionError, not ValueError.
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        cache = ResultCache(8, persist_path=str(nested))
+        assert cache.loaded == 0 and len(cache) == 0
+
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = str(tmp_path / "cache.json")
         cache = ResultCache(8, persist_path=path)

@@ -203,6 +203,22 @@ class TestErrorHandling:
         assert not event["ok"]
         assert event["error"]["code"] == "bad_request"
 
+    def test_too_deeply_nested_line_gets_bad_request(self):
+        # Under MAX_LINE_BYTES, but json.loads raises RecursionError.
+        with make_daemon() as daemon:
+            with socket.create_connection(
+                ("127.0.0.1", daemon.port), timeout=30
+            ) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(b"[" * 100_000 + b"\n")
+                event = json.loads(rfile.readline())
+                sock.sendall(b'{"id": 1, "op": "status", "params": {}}\n')
+                status = json.loads(rfile.readline())
+        assert not event["ok"]
+        assert event["error"]["code"] == "bad_request"
+        assert event["error"]["message"] == "invalid JSON"
+        assert status["ok"] and status["id"] == 1
+
     def test_task_exception_is_a_structured_error(self, test_ops):
         # modes "bogus" makes beam_point raise inside the worker.
         with make_daemon() as daemon:
