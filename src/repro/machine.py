@@ -280,7 +280,7 @@ class PlusMachine:
             copy = self.os.copy_on_node(vpage, node_id)
             if copy is not None:
                 # Materialize only pages the dead node actually holds;
-                # cold flat pages homed elsewhere stay 8-byte entries.
+                # cold pages homed elsewhere stay inside their extents.
                 self._crash_pages[(node_id, copy.page)] = self.os.copylist(
                     vpage
                 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import AddressError
+from repro.errors import AddressError, ConfigError
 from repro.core.params import WORD_MASK
 
 #: Flat-storage element type: platform long (8 bytes on LP64) — wide
@@ -120,9 +120,11 @@ class LocalMemory:
         order), then one contiguous run of never-used ids.  Lazy: no
         storage is touched until a frame's first write, so mapping a
         million pages costs a million flag bytes, not a million arrays.
-        Fails without allocating anything if the run would exceed
-        ``max_frames``.
+        Fails without allocating anything if ``n`` is negative or the
+        run would exceed ``max_frames``.
         """
+        if n < 0:
+            raise ConfigError(f"cannot allocate {n} frames")
         free = self._free
         k = min(n, len(free))
         start = self._next_page

@@ -22,7 +22,7 @@ Two replication paths exist:
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_right
 from itertools import count
 from typing import Callable, Dict, List, Optional
 
@@ -33,30 +33,31 @@ from repro.network.message import Message, MsgKind
 
 Callback = Callable[[], None]
 
-#: Packed flat-directory entry: ``home << _FLAT_SHIFT | ppage``.  Frame
+#: Packed extent entry: ``home << _FLAT_SHIFT | first frame``.  Frame
 #: ids stay under 2^20 (LocalMemory.max_frames), so 34 bits of headroom
-#: leaves room for millions of nodes in the high bits of a signed 64-bit
-#: array slot.
+#: leaves room for millions of nodes in the high bits.
 _FLAT_SHIFT = 34
 _FLAT_MASK = (1 << _FLAT_SHIFT) - 1
-#: Sentinel: the vpage has a materialized CopyList in ``_copylists``.
-_MATERIALIZED = -1
 
 
 class ReplicationManager:
     """Central page directory plus replication/migration machinery.
 
-    The directory is *flat-first*: an unreplicated page is one packed
-    ``(home, frame)`` integer in an ``array('q')`` indexed by virtual
-    page number — 8 bytes, no :class:`CopyList`, no
+    The directory is *extent-first*: an unreplicated page is described
+    by the extent it was mapped in — one ``(first vpage, home << 34 |
+    first frame)`` pair per fresh run of frames that
+    :meth:`create_pages` maps, and one per recycled frame — so a page
+    costs no :class:`CopyList`, no
     :class:`~repro.memory.address.PhysPage`, no CM-table entries (the
-    tables treat unregistered live frames as implicitly self-mastered).
-    A real CopyList is materialized only when the replication machinery
-    first touches the page; everything that only *reads* placement goes
-    through the read-only accessors (:meth:`master_copy`,
+    tables treat unregistered live frames as implicitly self-mastered)
+    and not even a directory slot of its own.  A page is *materialized*
+    exactly when it has a real CopyList in ``_copylists``; that happens
+    only when the replication machinery first touches it, and then the
+    CopyList shadows its extent.  Everything that only *reads* placement
+    goes through the read-only accessors (:meth:`master_copy`,
     :meth:`copies_of`, :meth:`copy_on_node`) and never materializes.
-    This is what lets a 1,024-node machine map a million pages in a few
-    hundred megabytes instead of tens of per-page objects each.
+    This is what lets a 1,024-node machine map a million pages with one
+    extent per segment instead of a million directory entries.
     """
 
     def __init__(self, machine) -> None:
@@ -64,9 +65,12 @@ class ReplicationManager:
         # cycle.  Uses: .nodes (list of Node), .mesh, .fabric, .engine,
         # .params.
         self._machine = machine
-        #: vpage -> packed (home, frame), or the _MATERIALIZED sentinel.
-        #: Virtual pages are numbered densely: the next one is len(_flat).
-        self._flat = array("q")
+        #: Extents, ascending: vpage ``v`` with ``_starts[i] <= v <
+        #: _starts[i + 1]`` packs to ``_packed[i] + v - _starts[i]``.
+        self._starts: List[int] = []
+        self._packed: List[int] = []
+        #: Virtual pages are numbered densely: the next one to map.
+        self._n_vpages = 0
         #: Materialized copy-lists only (replicated or once-replicated).
         self._copylists: Dict[int, CopyList] = {}
         self._copy_xids = count()
@@ -76,18 +80,24 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # Page directory.
     # ------------------------------------------------------------------
+    def _flat_copy(self, vpage: int) -> PhysPage:
+        """The extent-recorded copy of ``vpage`` (materialized or not)."""
+        if not 0 <= vpage < self._n_vpages:
+            raise MappingError(f"virtual page {vpage} does not exist")
+        i = bisect_right(self._starts, vpage) - 1
+        packed = self._packed[i] + vpage - self._starts[i]
+        return PhysPage(packed >> _FLAT_SHIFT, packed & _FLAT_MASK)
+
     def _materialize(self, vpage: int) -> CopyList:
-        """Promote a flat entry to a real CopyList (mutation pending).
+        """Promote a flat page to a real CopyList (mutation pending).
 
         The master's CM-table entry is registered explicitly at the same
         moment, replacing its implicit self-mastery with identical
         values, so the hardware view is unchanged.
         """
-        packed = self._flat[vpage]
-        master = PhysPage(packed >> _FLAT_SHIFT, packed & _FLAT_MASK)
+        master = self._flat_copy(vpage)
         clist = CopyList(vpage, master)
         self._copylists[vpage] = clist
-        self._flat[vpage] = _MATERIALIZED
         self._machine.nodes[master.node].cm.tables.register(
             master.page, master, None
         )
@@ -103,45 +113,41 @@ class ReplicationManager:
         clist = self._copylists.get(vpage)
         if clist is not None:
             return clist
-        if 0 <= vpage < len(self._flat) and self._flat[vpage] >= 0:
-            return self._materialize(vpage)
-        raise MappingError(f"virtual page {vpage} does not exist") from None
+        return self._materialize(vpage)
 
     def known_vpages(self) -> range:
-        return range(len(self._flat))
+        return range(self._n_vpages)
 
     # -- read-only placement accessors (never materialize) -------------
     def master_copy(self, vpage: int) -> PhysPage:
         """The master copy of ``vpage`` without materializing it."""
-        if 0 <= vpage < len(self._flat):
-            packed = self._flat[vpage]
-            if packed >= 0:
-                return PhysPage(packed >> _FLAT_SHIFT, packed & _FLAT_MASK)
-        return self.copylist(vpage).master
+        clist = self._copylists.get(vpage)
+        if clist is not None:
+            return clist.master
+        return self._flat_copy(vpage)
 
     def copies_of(self, vpage: int) -> List[PhysPage]:
         """All copies, master first, without materializing."""
-        if 0 <= vpage < len(self._flat):
-            packed = self._flat[vpage]
-            if packed >= 0:
-                return [PhysPage(packed >> _FLAT_SHIFT, packed & _FLAT_MASK)]
-        return self.copylist(vpage).copies
+        clist = self._copylists.get(vpage)
+        if clist is not None:
+            return clist.copies
+        return [self._flat_copy(vpage)]
 
     def copy_on_node(self, vpage: int, node_id: int) -> Optional[PhysPage]:
         """The copy held by ``node_id``, or None, without materializing."""
-        if 0 <= vpage < len(self._flat):
-            packed = self._flat[vpage]
-            if packed >= 0:
-                if packed >> _FLAT_SHIFT == node_id:
-                    return PhysPage(node_id, packed & _FLAT_MASK)
-                return None
-        return self.copylist(vpage).copy_on(node_id)
+        clist = self._copylists.get(vpage)
+        if clist is not None:
+            return clist.copy_on(node_id)
+        copy = self._flat_copy(vpage)
+        return copy if copy.node == node_id else None
 
     def copy_count(self, vpage: int) -> int:
         """Number of copies of ``vpage`` without materializing."""
-        if 0 <= vpage < len(self._flat) and self._flat[vpage] >= 0:
-            return 1
-        return len(self.copylist(vpage))
+        clist = self._copylists.get(vpage)
+        if clist is not None:
+            return len(clist)
+        self._flat_copy(vpage)  # MappingError for an unknown vpage
+        return 1
 
     def resolve(self, node_id: int, vpage: int) -> PhysPage:
         """Central-table lookup: the copy closest to ``node_id``.
@@ -151,13 +157,7 @@ class ReplicationManager:
         clist = self._copylists.get(vpage)
         if clist is None:
             # Flat page: the sole copy is the answer for every asker.
-            if 0 <= vpage < len(self._flat):
-                packed = self._flat[vpage]
-                if packed >= 0:
-                    return PhysPage(
-                        packed >> _FLAT_SHIFT, packed & _FLAT_MASK
-                    )
-            raise MappingError(f"virtual page {vpage} does not exist")
+            return self._flat_copy(vpage)
         own = clist.copy_on(node_id)
         if own is not None:
             return own
@@ -172,25 +172,29 @@ class ReplicationManager:
     def create_pages(self, home: int, n: int) -> range:
         """Create ``n`` unreplicated pages mastered on node ``home``.
 
-        Returns their virtual page numbers, a contiguous run.  Flat fast
-        path: the frames come from one bulk allocation and each page is
-        one packed array slot, so a fresh run of frames is mapped with
-        one C-level array extension and no per-page Python objects.
+        Returns their virtual page numbers, a contiguous run.  The frames
+        come from one bulk allocation; each recycled frame maps as a
+        one-page extent and the fresh run as one extent, so mapping a
+        segment costs O(recycled frames) work whatever its size.
         ``tables.forget`` clears any forwarding tombstone left on a
         recycled frame id so it cannot shadow the new page; never-used
         ids have no table entries to clear.
         """
         node = self._machine.nodes[home]
         recycled, fresh = node.memory.allocate_frames(n)
-        flat = self._flat
-        first = len(flat)
+        first = self._n_vpages
         tag = home << _FLAT_SHIFT
         forget = node.cm.tables.forget
-        for ppage in recycled:
+        starts, packed = self._starts, self._packed
+        for vpage, ppage in enumerate(recycled, first):
             forget(ppage)
-            flat.append(tag | ppage)
-        flat.extend(array("q", range(tag | fresh.start, tag | fresh.stop)))
-        return range(first, len(flat))
+            starts.append(vpage)
+            packed.append(tag | ppage)
+        if fresh:
+            starts.append(first + len(recycled))
+            packed.append(tag | fresh.start)
+        self._n_vpages = first + n
+        return range(first, self._n_vpages)
 
     def create_page(self, home: int) -> int:
         """Create one unreplicated page mastered on node ``home``."""

@@ -202,6 +202,9 @@ class FaultPlan:
                     f"at_cycle >= 1 and down_cycles >= 1"
                 )
         self.durability = durability
+        #: True when this plan can ever take a node down (a plain
+        #: attribute: the invariant monitor reads it on every send).
+        self.has_crashes = bool(crash_rate or self.crashes)
         self._roll = random.Random(f"{seed}:faults:roll")
         #: The topology outages are judged on (see :meth:`bind`), and
         #: its lazily created outage schedules indexed by link id.
@@ -215,11 +218,6 @@ class FaultPlan:
         plan is installed, before any traffic)."""
         self._topology = topology
         self._outages = [None] * topology.n_link_ids
-
-    @property
-    def has_crashes(self) -> bool:
-        """True when this plan can ever take a node down."""
-        return bool(self.crash_rate or self.crashes)
 
     def node_crashes(self, node: int) -> _NodeCrashes:
         """The (lazily created) crash schedule of one node."""

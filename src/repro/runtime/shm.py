@@ -125,10 +125,12 @@ class SharedMemory:
         page_words = machine.params.page_words
         npages = math.ceil(nwords / page_words)
         vpages = machine.os.create_pages(home, npages)
-        for vpage in vpages:
-            for node in replicas:
-                if node != home:
-                    machine.os.replicate(vpage, node)
+        if replicas:
+            # Vpage-major, as frame ids (and so every digest) depend on it.
+            for vpage in vpages:
+                for node in replicas:
+                    if node != home:
+                        machine.os.replicate(vpage, node)
         segment = Segment(
             base=vpages.start * page_words,
             nwords=nwords,

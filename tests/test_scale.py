@@ -2,8 +2,8 @@
 the compact memory arena, and the placement workload's determinism.
 
 These cover the machinery that lets a 1,024-node machine map a million
-pages in seconds: wrap-around arithmetic routing, flat packed-int page
-metadata with implicit CM self-mastery, bulk page creation checked
+pages in seconds: wrap-around arithmetic routing, an extent page
+directory with implicit CM self-mastery, bulk page creation checked
 against the per-page reference, and lazy-zero frame storage.
 """
 
@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from repro.apps.placement import PlacementConfig, run_placement
 from repro.core.copylist import CMTables
-from repro.errors import AddressError, ReplicationError
+from repro.errors import AddressError, ConfigError, ReplicationError
 from repro.machine import PlusMachine
 from repro.memory.address import PhysPage
 from repro.memory.physical import LocalMemory
-from repro.memory.replication import _FLAT_SHIFT
 from repro.network.topology import Mesh, Torus, make_topology
 
 #: Shapes exercised by the torus property suite: square even (the
@@ -131,7 +130,7 @@ class TestTorusGeometry:
 
 
 class TestFlyweightDirectory:
-    """Flat packed-int page metadata vs materialized CopyLists."""
+    """Extent page metadata vs materialized CopyLists."""
 
     def _machine(self, n_nodes=4):
         return PlusMachine(n_nodes=n_nodes)
@@ -225,11 +224,9 @@ class TestFlyweightDirectory:
         assert tables.master_of(reused) == PhysPage(0, reused)
 
 
-def _reference_create_page(os_, home):
-    """Reference model of page creation: the per-page body that
-    :meth:`ReplicationManager.create_pages` replaced, with its frame
-    allocator inlined, kept so the bulk path can be checked against it."""
-    memory = os_._machine.nodes[home].memory
+def _reference_alloc(memory):
+    """The single-frame allocator, inlined: recycle the last freed id,
+    else issue the next never-used one."""
     if memory._free:
         ppage = memory._free.pop()
     else:
@@ -237,23 +234,74 @@ def _reference_create_page(os_, home):
         memory._next_page += 1
         memory._live.append(0)
     memory._live[ppage] = 1
-    os_._machine.nodes[home].cm.tables.forget(ppage)
-    vpage = len(os_._flat)
-    os_._flat.append((home << _FLAT_SHIFT) | ppage)
-    return vpage
+    return ppage
+
+
+def _reference_register(machine, copies):
+    """Project one copy-list into its holders' CM tables."""
+    for i, copy in enumerate(copies):
+        nxt = copies[i + 1] if i + 1 < len(copies) else None
+        machine.nodes[copy.node].cm.tables.register(copy.page, copies[0], nxt)
+
+
+class _ReferenceDirectory:
+    """Per-page reference model of the central directory: a dict from
+    vpage to its copies (master first), driving a second machine's
+    frames and CM tables the way the per-page OS code did."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.copies = {}
+        self.materialized = set()
+
+    def create_page(self, home):
+        node = self.machine.nodes[home]
+        ppage = _reference_alloc(node.memory)
+        node.cm.tables.forget(ppage)
+        vpage = len(self.copies)
+        self.copies[vpage] = [PhysPage(home, ppage)]
+        return vpage
+
+    def _materialize(self, vpage):
+        if vpage not in self.materialized:
+            self.materialized.add(vpage)
+            _reference_register(self.machine, self.copies[vpage][:1])
+
+    def replicate_after_master(self, vpage, node_id):
+        self._materialize(vpage)
+        ppage = _reference_alloc(self.machine.nodes[node_id].memory)
+        copies = self.copies[vpage]
+        copies.insert(1, PhysPage(node_id, ppage))
+        _reference_register(self.machine, copies)
+
+    def migrate(self, vpage, to_node):
+        self._materialize(vpage)
+        (old,) = self.copies[vpage]
+        if old.node == to_node:
+            return
+        new = PhysPage(
+            to_node, _reference_alloc(self.machine.nodes[to_node].memory)
+        )
+        holder = self.machine.nodes[old.node]
+        holder.cm.tables.unregister(old.page)
+        holder.memory.free_frame(old.page)
+        self.copies[vpage] = [new]
+        _reference_register(self.machine, [new])
 
 
 _NODES = 4
 
 #: One step: ("create", home, n) maps n pages on home; ("free", home, k)
 #: frees the k-th live frame of home (mod their number), first leaving
-#: a forwarding tombstone on it the way a migrated-away frame does.
+#: a forwarding tombstone on it the way a migrated-away frame does;
+#: ("replicate", node, k) copies the k-th intact vpage onto node, after
+#: its master; ("migrate", node, k) moves the k-th intact vpage to node.
 _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("create"), st.integers(0, _NODES - 1),
                   st.integers(0, 6)),
-        st.tuples(st.just("free"), st.integers(0, _NODES - 1),
-                  st.integers(0, 63)),
+        st.tuples(st.sampled_from(["free", "replicate", "migrate"]),
+                  st.integers(0, _NODES - 1), st.integers(0, 63)),
     ),
     max_size=30,
 )
@@ -263,7 +311,7 @@ class TestBulkCreation:
     """``create_pages(home, n)`` against n per-page reference creations."""
 
     @staticmethod
-    def _state(machine):
+    def _frames(machine):
         nodes = []
         for node in machine.nodes:
             memory, tables = node.memory, node.cm.tables
@@ -271,36 +319,88 @@ class TestBulkCreation:
                 bytes(memory._live), list(memory._free), memory._next_page,
                 dict(tables._master), dict(tables._next),
             ))
-        return machine.os._flat.tolist(), nodes
+        return nodes
+
+    def _assert_agree(self, bulk, ref):
+        os_ = bulk.os
+        assert os_.known_vpages() == range(len(ref.copies))
+        for vpage in os_.known_vpages():
+            assert os_.master_copy(vpage) == ref.copies[vpage][0]
+            assert os_.copies_of(vpage) == ref.copies[vpage]
+        assert set(os_._copylists) == ref.materialized
+        assert self._frames(bulk) == self._frames(ref.machine)
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS)
     def test_matches_per_page_reference(self, steps):
         bulk = PlusMachine(n_nodes=_NODES)
-        ref = PlusMachine(n_nodes=_NODES)
-        for op, home, arg in steps:
+        ref = _ReferenceDirectory(PlusMachine(n_nodes=_NODES))
+        #: Vpages with a copy on a frame the "free" step pulled away.
+        broken = set()
+        for op, node_id, arg in steps:
+            intact = [v for v in ref.copies if v not in broken]
             if op == "create":
-                got = bulk.os.create_pages(home, arg)
-                want = [_reference_create_page(ref.os, home) for _ in range(arg)]
+                got = bulk.os.create_pages(node_id, arg)
+                want = [ref.create_page(node_id) for _ in range(arg)]
                 assert isinstance(got, range)
                 assert list(got) == want
-            else:
-                live = list(bulk.nodes[home].memory.frames())
+            elif op == "free":
+                live = list(bulk.nodes[node_id].memory.frames())
                 if not live:
                     continue
                 ppage = live[arg % len(live)]
-                for machine in (bulk, ref):
-                    node = machine.nodes[home]
-                    tombstone = PhysPage((home + 1) % _NODES, ppage)
+                for machine in (bulk, ref.machine):
+                    node = machine.nodes[node_id]
+                    tombstone = PhysPage((node_id + 1) % _NODES, ppage)
                     node.cm.tables.register(ppage, tombstone, None)
                     node.memory.free_frame(ppage)
-            assert self._state(bulk) == self._state(ref)
+                freed = PhysPage(node_id, ppage)
+                broken.update(v for v, c in ref.copies.items() if freed in c)
+            elif intact:
+                vpage = intact[arg % len(intact)]
+                copies = ref.copies[vpage]
+                if op == "replicate":
+                    if any(c.node == node_id for c in copies):
+                        continue
+                    bulk.os.replicate(vpage, node_id, after=copies[0].node)
+                    ref.replicate_after_master(vpage, node_id)
+                elif len(copies) == 1:
+                    bulk.os.migrate(vpage, node_id)
+                    ref.migrate(vpage, node_id)
+            self._assert_agree(bulk, ref)
 
     def test_create_page_is_the_one_page_case(self, machine4):
         assert machine4.os.create_pages(1, 3) == range(0, 3)
         assert machine4.os.create_page(2) == 3
         assert machine4.os.master_copy(3) == PhysPage(2, 0)
         assert machine4.os.create_pages(0, 0) == range(4, 4)
+
+    def test_negative_count_is_refused(self, machine4):
+        with pytest.raises(ConfigError):
+            machine4.os.create_pages(1, -3)
+        assert machine4.os.known_vpages() == range(0)
+        memory = LocalMemory(node_id=0, page_words=8)
+        memory.free_frame(memory.allocate_frame())
+        with pytest.raises(ConfigError):
+            memory.allocate_frames(-1)
+        assert memory._free == [0]
+
+    def test_mapping_a_million_pages_grows_no_directory(self):
+        machine = PlusMachine(n_nodes=2)
+        only = [tracemalloc.Filter(True, "*repro/memory/replication.py")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only)
+            vpages = machine.os.create_pages(1, 1_000_000)
+            after = tracemalloc.take_snapshot().filter_traces(only)
+        finally:
+            tracemalloc.stop()
+        assert len(vpages) == 1_000_000
+        grown = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        assert grown < 64 * 1024
 
     def test_exhaustion_allocates_nothing(self):
         memory = LocalMemory(node_id=0, page_words=8, max_frames=4)
@@ -313,8 +413,8 @@ class TestBulkCreation:
 
 class TestColdPageFootprint:
     def test_cold_pages_cost_under_twelve_bytes_each(self):
-        # Per cold page: an 8-byte directory slot and a 1-byte live flag;
-        # the rest of the budget is array over-allocation.
+        # Per cold page: a 1-byte live flag plus its share of bytearray
+        # over-allocation; the directory holds one extent per segment.
         machine = PlusMachine(n_nodes=16)
         page_words = machine.params.page_words
         per_home = 262_144 // machine.n_nodes
