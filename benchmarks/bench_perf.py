@@ -27,19 +27,16 @@ Run directly to produce ``BENCH_perf.json``::
 benchmarks the sweep executor itself — a 200-seed ``check`` serial vs
 one worker per core (min 2) — and records the wall times, speedup,
 ``cpu_count``, and output-identity verdict under the report's ``sweep``
-key.  Every run additionally benchmarks *space-parallel* execution of
-one partitioned machine (``repro.parallel.spacetime``): both workloads
-one process vs R regions in R processes, gated on bit-identity with the
-speedup recorded under ``space`` (full runs add a 256-node SSSP point).
+key.
 
 The ``scale`` section builds the 1,024-node torus machine — ~1M mapped
 pages full-size, ~100k under ``--smoke`` — and records construction
 time, sustained events/sec (with a 16-node same-workload reference and
 the ratio), mean hops, and peak RSS; ``--gate-scale`` turns the
 tentpole acceptance numbers into a CI gate (construction < 10 s, RSS
-< 1 GB, events/sec within 50% of the committed rate).  Every direct
-run appends a timestamped line to ``BENCH_history.jsonl`` so
-throughput is trendable across commits.
+< 1 GB, events/sec within 50% of the committed rate).  ``--history
+PATH`` appends a timestamped line to ``PATH`` so throughput is
+trendable across commits; without it nothing is appended.
 
 Under pytest the module runs the smoke-sized workloads once and checks
 the measurement machinery, not the throughput (wall-clock assertions
@@ -236,110 +233,6 @@ def benchmark_sweep(seeds: int = 200, jobs: Optional[int] = None) -> Dict:
     return result
 
 
-def benchmark_space(smoke: bool = False) -> Dict:
-    """Space-parallel identity and speedup: one partitioned machine,
-    one process vs R regions in R processes (this one steps region 0).
-
-    The gate is *bit-identity*: both bench workloads run through
-    :func:`repro.parallel.run_space` serially and in parallel and must
-    agree on the full checksum tuple (clock, messages, events, memory
-    image, trace).  Wall-clock speedup is recorded, never asserted —
-    on a single-core runner the region workers pay spawn/IPC overhead
-    with no extra cores to win it back (``parallel_slower`` flags it,
-    exactly like :func:`benchmark_sweep`).  Full runs add a 16x16-mesh
-    (256-node) SSSP point where the per-window work is large enough
-    for region parallelism to matter on a multi-core host.
-    """
-    from repro.parallel.spacetime import (
-        SpaceSpec,
-        run_checksums,
-        run_space,
-    )
-
-    cpu_count = os.cpu_count() or 1
-    cases = {
-        "sssp": SpaceSpec.make(
-            "repro.parallel.spaceworkloads:build_sssp",
-            {"n_vertices": 200 if smoke else 800, "regions": 2},
-            label="space-sssp",
-        ),
-        "beam": SpaceSpec.make(
-            "repro.parallel.spaceworkloads:build_beam",
-            {"n_layers": 6, "lattice_width": 48, "regions": 2}
-            if smoke
-            else {"regions": 2},
-            label="space-beam",
-        ),
-    }
-    if not smoke:
-        cases["sssp_256"] = SpaceSpec.make(
-            "repro.parallel.spaceworkloads:build_sssp",
-            {
-                "n_vertices": 800,
-                "n_nodes": 256,
-                "width": 16,
-                "height": 16,
-                "regions": 4,
-            },
-            label="space-sssp-256",
-        )
-
-    report: Dict = {"cpu_count": cpu_count}
-    for name, spec in cases.items():
-        jobs = spec.build(0).space_regions
-        walls = {}
-        checks = {}
-        transports = {}
-        for j in (1, jobs):
-            t0 = time.perf_counter()
-            run = run_space(spec, jobs=j)
-            walls[j] = time.perf_counter() - t0
-            run.raise_if_error()
-            checks[j] = run_checksums(run)
-            transports[j] = run.transport
-        if checks[1] != checks[jobs]:
-            diffs = [k for k in checks[1] if checks[1][k] != checks[jobs][k]]
-            raise AssertionError(
-                f"space {name}: parallel run diverged from serial on {diffs}"
-            )
-        tr = transports[jobs]
-        entry = {
-            "regions": jobs,
-            "jobs": jobs,
-            "wall_serial_s": round(walls[1], 3),
-            "wall_parallel_s": round(walls[jobs], 3),
-            "speedup": round(walls[1] / walls[jobs], 2)
-            if walls[jobs]
-            else 0.0,
-            "clock": checks[1]["clock"],
-            "events": checks[1]["events"],
-            "messages": checks[1]["messages"],
-            "identical_output": True,
-            # Driver metrics for the parallel run (see run.transport):
-            # barrier_count/bytes/staged_messages are deterministic for
-            # a given window; barrier_wall_s is the time the driver
-            # spent inside window steps (sync + region work).
-            "barrier_count": tr["barriers"],
-            "barrier_wall_s": round(tr["barrier_wall_s"], 3),
-            "transport_bytes": tr["bytes"],
-            "staged_messages": tr["messages"],
-        }
-        if walls[jobs] > walls[1]:
-            if cpu_count > 1:
-                # Only meaningful with real cores to lose: on a
-                # single-core runner "slower" is the expected outcome,
-                # not a regression signal.
-                entry["parallel_slower"] = True
-            else:
-                entry["note"] = (
-                    "single-core runner: region workers pay spawn/IPC "
-                    "overhead with no cores to win it back; only "
-                    "bit-identity is gated"
-                )
-        report[name] = entry
-    return report
-
-
 def _scale_machine(n_nodes: int, requests: int, backing_pages: int):
     """Build the scale-workload machine: the *post-placement locality
     regime* on a torus.
@@ -437,7 +330,6 @@ def run_suite(
     repeats: int = 3,
     jobs: int = 1,
     sweep_bench: bool = True,
-    space_bench: bool = True,
     scale_bench: bool = True,
 ) -> Dict:
     if smoke:
@@ -506,10 +398,6 @@ def run_suite(
             # the parallel fan-out); a single-core runner records an
             # honest ~1x speedup along with its cpu_count.
             results["sweep"] = benchmark_sweep()
-    if space_bench:
-        # Space-parallel identity (gated) and speedup (recorded) on
-        # one partitioned machine — both workloads, both drivers.
-        results["space"] = benchmark_space(smoke=smoke)
     if scale_bench:
         # The tentpole scale point: 1,024 nodes, ~1M (full) or ~100k
         # (smoke) mapped pages on a torus.
@@ -561,8 +449,6 @@ def append_history(results: Dict, path: Path) -> None:
         }
     if "sweep" in results:
         entry["sweep"] = results["sweep"]
-    if "space" in results:
-        entry["space"] = results["space"]
     if "scale" in results:
         sc = results["scale"]
         entry["scale"] = {
@@ -595,10 +481,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--history",
-        default=str(
-            Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
-        ),
-        help="timestamped JSONL trend log to append to",
+        default=None,
+        metavar="PATH",
+        help="timestamped JSONL trend log to append to (default: none)",
     )
     parser.add_argument(
         "--repeats",
@@ -619,11 +504,6 @@ def main(argv=None) -> int:
         help="skip the serial-vs-parallel executor benchmark on full runs",
     )
     parser.add_argument(
-        "--no-space-bench",
-        action="store_true",
-        help="skip the space-parallel identity/speedup benchmark",
-    )
-    parser.add_argument(
         "--no-scale-bench",
         action="store_true",
         help="skip the 1,024-node scale benchmark",
@@ -634,13 +514,6 @@ def main(argv=None) -> int:
         help="fail the scale benchmark on budget overruns: construction "
         ">=10s, peak RSS >=1 GB, or events/sec more than 50% below the "
         "committed BENCH_perf.json scale rate",
-    )
-    parser.add_argument(
-        "--gate-space",
-        action="store_true",
-        help="fail unless the space-parallel sssp point clears a 1.5x "
-        "speedup over the serial driver; arms only on runners with "
-        ">=2 CPUs (a single core has nothing to win)",
     )
     parser.add_argument(
         "--gate-rates",
@@ -663,7 +536,6 @@ def main(argv=None) -> int:
         repeats=args.repeats,
         jobs=jobs,
         sweep_bench=not args.no_sweep_bench,
-        space_bench=not args.no_space_bench,
         scale_bench=not args.no_scale_bench,
     )
     for name in ("sssp", "beam"):
@@ -684,22 +556,6 @@ def main(argv=None) -> int:
         )
         if s.get("note"):
             print(f"       note: {s['note']}")
-    if "space" in results:
-        for name, e in results["space"].items():
-            if name == "cpu_count":
-                continue
-            print(
-                f"space: {name}: {e['regions']} regions: "
-                f"{e['wall_parallel_s']}s vs {e['wall_serial_s']}s serial "
-                f"({e['speedup']}x on {results['space']['cpu_count']} "
-                f"core(s), bit-identical: {e['identical_output']})"
-            )
-            print(
-                f"       {e['barrier_count']} barriers "
-                f"({e['barrier_wall_s']}s), "
-                f"{e['staged_messages']} staged messages, "
-                f"{e['transport_bytes']} bytes"
-            )
     if "scale" in results:
         sc = results["scale"]
         print(
@@ -713,47 +569,15 @@ def main(argv=None) -> int:
         )
     Path(args.out).write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {args.out}")
-    append_history(results, Path(args.history))
-    print(f"appended history to {args.history}")
+    if args.history:
+        append_history(results, Path(args.history))
+        print(f"appended history to {args.history}")
     code = 0
     if args.gate_rates:
         code = _gate_rates(results, args.gate_tolerance)
     if args.gate_scale:
         code = _gate_scale(results) or code
-    if args.gate_space:
-        code = _gate_space(results) or code
     return code
-
-
-def _gate_space(results: Dict, floor: float = 1.5) -> int:
-    """CI space-parallel perf gate: the whole point of the shm
-    transport is that region workers beat the serial driver when real
-    cores exist, so on a multi-core runner the sssp point must clear
-    ``floor`` speedup.  On a single-core runner the gate reports
-    unarmed and passes — there, only bit-identity is meaningful.
-    """
-    space = results.get("space")
-    if not space:
-        print("gate: no space results; nothing to gate")
-        return 0
-    cpu_count = space.get("cpu_count", 1)
-    if cpu_count < 2:
-        print(
-            "gate: space: single-core runner — speedup gate not armed "
-            "(bit-identity already gated in the benchmark)"
-        )
-        return 0
-    entry = space.get("sssp")
-    if not entry:
-        print("gate: space: no sssp point; nothing to gate")
-        return 0
-    got = entry["speedup"]
-    verdict = "ok" if got >= floor else "FAIL"
-    print(
-        f"gate: space sssp: {got}x speedup over serial vs floor "
-        f"{floor}x on {cpu_count} cores — {verdict}"
-    )
-    return 0 if got >= floor else 1
 
 
 def _gate_rates(results: Dict, tolerance: float) -> int:

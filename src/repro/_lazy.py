@@ -2,7 +2,7 @@
 
 Every process compiles each module it imports, so an ``__init__`` that
 imported all its submodules would make ``import repro.server.client``
-compile the daemon, the executor and the space-parallel driver too.
+compile the daemon and the executor too.
 Instead each ``__init__`` names the submodule that defines each export,
 and the first attribute access of a name imports just that submodule.
 """

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.check.invariants import InvariantMonitor
 from repro.check.oracle import CoherenceOracle, OracleReport
 from repro.core.params import OpCode, TimingParams
-from repro.errors import ConfigError, PlusError
+from repro.errors import PlusError
 from repro.machine import PlusMachine
 from repro.network.faults import FaultPlan
 from repro.network.router import LinkModel
@@ -463,9 +463,8 @@ def _stress_params(config: StressConfig) -> TimingParams:
 def _assemble_layout(machine, config: StressConfig):
     """Segment/queue layout and thread programs for one config.
 
-    Shared by the plain and space-partitioned builders; everything here
-    is setup-time (direct pokes, no simulated traffic), so it runs
-    identically on either machine flavour.  Returns the spawn plans.
+    Everything here is setup-time (direct pokes, no simulated traffic).
+    Returns the spawn plans.
     """
     seed = config.seed
     layout = random.Random(f"{seed}:layout")
@@ -543,77 +542,6 @@ def build_machine(config: StressConfig):
     return machine, monitor, spawn_plans
 
 
-def build_space_stress(
-    region: int = 0,
-    *,
-    seed: int,
-    inject_bug: bool = False,
-    faults: bool = False,
-    chaos: bool = False,
-    fault_overrides: Optional[Dict[str, object]] = None,
-    regions: int = 2,
-    window: int = 0,
-):
-    """Space-partitioned twin of :func:`build_machine` (SpaceSpec builder).
-
-    Same experiment shape, layout and programs as the plain builder for
-    the same seed; the machine is a
-    :class:`~repro.parallel.spacetime.SpaceMachine`, with per-region
-    randomness streams (region 0 keeps the plain run's seeds, region
-    ``r`` gets ``"{seed}:...:{r}"`` derivations) so every region's
-    schedule exploration is independent of how windows interleave.  The
-    invariant monitor is installed for ``region`` only — it is a
-    region-local observer; each worker instance watches its own region.
-    """
-    from repro.parallel.spacetime import SpaceMachine
-
-    config = StressConfig.from_seed(
-        seed,
-        inject_bug=inject_bug,
-        faults=faults,
-        chaos=chaos,
-        overrides=fault_overrides,
-    )
-    params = _stress_params(config)
-    tie_factory = None
-    if config.random_ties:
-        def tie_factory(r: int) -> random.Random:
-            return random.Random(
-                f"{seed}:ties" if r == 0 else f"{seed}:ties:{r}"
-            )
-    machine = SpaceMachine(
-        config.n_nodes,
-        params=params,
-        width=config.width,
-        height=config.height,
-        regions=regions,
-        window=window,
-        tie_break_rng_factory=tie_factory,
-    )
-    if config.jitter:
-        for r, fabric in enumerate(machine.fabrics):
-            fabric.links = JitteredLinkModel(
-                params,
-                random.Random(
-                    f"{seed}:jitter" if r == 0 else f"{seed}:jitter:{r}"
-                ),
-                config.jitter,
-                topology=fabric.mesh,
-            )
-    plan = config.fault_plan()
-    if plan is not None:
-        machine.install_faults(plan)
-    machine.set_active_region(region)
-    InvariantMonitor(
-        capacity=1_000_000 if plan is not None else 500_000
-    ).install(machine)
-    if config.inject_bug:
-        inject_skip_last_hop(machine)
-    for node_id, program in _assemble_layout(machine, config):
-        machine.spawn(node_id, program, name=f"stress-{seed}")
-    return machine
-
-
 def _harvest(result: StressResult, machine: PlusMachine) -> None:
     stats = machine.fabric.stats
     result.cycles = machine.engine.now
@@ -645,60 +573,12 @@ def run_stress(
     faults: bool = False,
     chaos: bool = False,
     fault_overrides: Optional[Dict[str, object]] = None,
-    space_regions: int = 0,
-    space_jobs: int = 1,
-    space_window: int = 0,
-    space_verify: bool = False,
 ) -> StressResult:
     """Run one seeded stress experiment and judge it with the oracle.
 
     ``chaos=True`` is the full hostile preset: seeded message faults
-    *plus* a node crash/restart schedule.  Crash schedules cannot run
-    space-parallel (the crash machinery reaches across regions with
-    zero latency), but the capability check is *precise*: a chaos run
-    whose crash knobs were overridden away (``crash_rate=0``) is a
-    wire-fault-only plan and partitions fine.
-
-    ``space_regions > 0`` runs the seed's experiment on the
-    space-partitioned machine instead (``space_jobs >= 2`` steps
-    region 0 here and each other region in a persistent worker process,
-    else the in-process serial space driver; see
-    :func:`repro.parallel.spacetime.run_space`).
-    ``space_verify`` runs the worker-process driver *and* the serial
-    reference and fails the seed unless their outputs are bit-identical
-    (trace checksum, final memory, clock).
+    *plus* a node crash/restart schedule.
     """
-    if space_regions:
-        probe = StressConfig.from_seed(
-            seed,
-            inject_bug=inject_bug,
-            faults=faults,
-            chaos=chaos,
-            overrides=fault_overrides,
-        )
-        if probe.has_crashes:
-            raise ConfigError(
-                "this plan schedules node crashes "
-                f"(crash_rate={probe.crash_rate:g}, "
-                f"{len(probe.crashes)} targeted), which cannot run "
-                "space-parallel: crash routing and epoch repair reach "
-                "across regions with zero latency.  Drop "
-                "--space-regions, or override the crash knobs away "
-                "(e.g. --crash-rate 0) to run the remaining wire "
-                "faults space-parallel"
-            )
-        return _run_stress_space(
-            seed,
-            inject_bug=inject_bug,
-            max_events=max_events,
-            faults=faults,
-            chaos=chaos,
-            fault_overrides=fault_overrides,
-            regions=space_regions,
-            jobs=space_jobs,
-            window=space_window,
-            verify=space_verify,
-        )
     config = StressConfig.from_seed(
         seed,
         inject_bug=inject_bug,
@@ -723,114 +603,6 @@ def run_stress(
     return result
 
 
-def _run_stress_space(
-    seed: int,
-    *,
-    inject_bug: bool,
-    max_events: int,
-    faults: bool,
-    chaos: bool = False,
-    fault_overrides: Optional[Dict[str, object]],
-    regions: int,
-    jobs: int,
-    window: int,
-    verify: bool,
-) -> StressResult:
-    """One stress seed on the space-partitioned machine.
-
-    Mirrors :func:`run_stress`'s harvest/oracle semantics: a live
-    :class:`PlusError` (from any region's strict monitor, the event
-    budget, or the window driver's deadlock watchdog) lands in
-    ``live_error`` with the same ``TypeName: text`` rendering, and clean
-    runs are judged by the :class:`CoherenceOracle` over the merged
-    cross-region capture, overlaid onto a fresh reference build.
-
-    With ``verify`` the seed runs under the worker-process driver *and*
-    the serial reference; any checksum divergence is itself the
-    failure.
-    """
-    from repro.check.oracle import Violation
-    from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
-
-    config = StressConfig.from_seed(
-        seed,
-        inject_bug=inject_bug,
-        faults=faults,
-        chaos=chaos,
-        overrides=fault_overrides,
-    )
-    result = StressResult(seed=seed, config=config)
-    spec = SpaceSpec.make(
-        "repro.check.stress:build_space_stress",
-        {
-            "seed": seed,
-            "inject_bug": inject_bug,
-            "faults": faults,
-            "chaos": chaos,
-            "fault_overrides": fault_overrides,
-            "regions": regions,
-            "window": window,
-        },
-        max_events=max_events,
-        label=f"space seed {seed}",
-    )
-    if verify:
-        serial = run_space(spec, jobs=1)
-        run = run_space(spec, jobs=max(2, jobs))
-        want, got = run_checksums(serial), run_checksums(run)
-        if want != got:
-            diffs = ", ".join(
-                f"{k}: serial={want[k]!r} parallel={got[k]!r}"
-                for k in want
-                if want[k] != got[k]
-            )
-            result.live_error = (
-                f"SpaceDivergence: parallel run diverged from serial "
-                f"({diffs})"
-            )
-            _harvest_space(result, run)
-            return result
-    else:
-        run = run_space(spec, jobs=jobs)
-    _harvest_space(result, run)
-    if run.error is not None:
-        result.live_error = f"{type(run.error).__name__}: {run.error}"
-        return result
-    # Judge with the oracle: rebuild the layout (static, deterministic),
-    # overlay the harvested end state, replay the merged capture.
-    ref = run.overlay(spec.build(0))
-    report = CoherenceOracle(ref, run.merged_trace()).check()
-    # The oracle's drain check reads live CM state, which the overlay
-    # cannot carry; the harvests recorded it at the source.
-    unsettled = sorted(
-        entry for h in run.harvests for entry in h.cm_unsettled
-    )
-    report.violations[:0] = [
-        Violation(
-            rule="drain",
-            detail=(
-                f"coherence manager {node_id} still has in-flight state "
-                f"after the run (pending={pending}, chains={chains})"
-            ),
-            cycle=run.clock,
-            node=node_id,
-        )
-        for node_id, pending, chains in unsettled
-    ]
-    result.report = report
-    return result
-
-
-def _harvest_space(result: StressResult, run) -> None:
-    stats = run.merged_stats()
-    result.cycles = run.clock
-    result.messages = stats.total_messages
-    result.drops = stats.drops
-    result.dups = stats.dups
-    result.retransmits = stats.retransmits
-    result.recovered = stats.recovered
-
-
 def run_seeds(
     count: int,
     base_seed: int = 0,
@@ -842,10 +614,6 @@ def run_seeds(
     fault_overrides: Optional[Dict[str, object]] = None,
     jobs: int = 1,
     shard: Optional[str] = None,
-    space_regions: int = 0,
-    space_jobs: int = 1,
-    space_window: int = 0,
-    space_verify: bool = False,
 ) -> List[StressResult]:
     """Run ``count`` consecutive seeds; stop at the first failure unless
     ``keep_going`` (a *failure* means a bug-injection run the checkers
@@ -866,18 +634,6 @@ def run_seeds(
         "chaos": chaos,
         "fault_overrides": fault_overrides,
     }
-    if space_regions:
-        # Space mode: each seed's run spawns its own per-region worker
-        # pool, so the sweep itself must stay in-process (nesting
-        # multiprocess sweeps over multiprocess runs would oversubscribe
-        # every core and interleave pool lifecycles).
-        jobs = 1
-        common.update(
-            space_regions=space_regions,
-            space_jobs=space_jobs,
-            space_window=space_window,
-            space_verify=space_verify,
-        )
     tasks = [
         SweepTask.make(
             seed,

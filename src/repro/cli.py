@@ -11,7 +11,6 @@ Usage::
     python -m repro check     [--seeds 50] [--jobs N] [--shard i/N]
     python -m repro check     --chaos [--seeds 100] [--transcript PATH]
     python -m repro ledger    [--seeds 50] [--jobs N]
-    python -m repro run sssp|beam [--space-jobs N] [--space-regions R]
     python -m repro sweep sssp --nodes 4,8,16 --copies 1,2,4 [--jobs N]
     python -m repro sweep beam --nodes 8 --modes blocking,delayed [--jobs N]
     python -m repro sweep --placement --nodes 256 [--jobs N]
@@ -295,115 +294,6 @@ def _cmd_costs(args) -> int:
     return 0
 
 
-def _space_regions(args) -> int:
-    """Region count for a space-partitioned run: explicit
-    ``--space-regions`` wins; otherwise one region per process when
-    running parallel, two when exercising the serial space driver."""
-    if args.space_regions:
-        return args.space_regions
-    return args.space_jobs if args.space_jobs >= 2 else 2
-
-
-def _cmd_run(args) -> int:
-    """Space-parallel run of one workload on one partitioned machine.
-
-    ``--space-jobs 1`` drives every region in-process (the serial space
-    driver); ``--space-jobs N`` steps region 0 here and gives each other
-    region its own worker process.  Both executions are bit-identical —
-    ``--space-verify`` proves it on the spot by running both and
-    comparing the full checksum tuple (clock, messages, events, memory
-    image, trace).
-    """
-    from repro.parallel.spacetime import (
-        SpaceSpec,
-        run_checksums,
-        run_space,
-    )
-    from repro.stats.report import format_table
-
-    regions = _space_regions(args)
-    if args.workload == "sssp":
-        builder = "repro.parallel.spaceworkloads:build_sssp"
-        kwargs = {
-            "n_vertices": args.vertices,
-            "n_nodes": args.nodes,
-            "copies": args.copies,
-            "regions": regions,
-            "window": args.space_window,
-        }
-    else:  # beam
-        builder = "repro.parallel.spaceworkloads:build_beam"
-        kwargs = {
-            "n_nodes": args.nodes,
-            "beam": args.beam,
-            "sync_mode": args.mode,
-            "regions": regions,
-            "window": args.space_window,
-        }
-    spec = SpaceSpec.make(builder, kwargs, label=args.workload)
-
-    run = run_space(spec, jobs=args.space_jobs)
-    run.raise_if_error()
-    checks = run_checksums(run)
-    rows = [
-        [
-            h.region,
-            f"{len(h.memory)} node(s)",
-            h.events_fired,
-            h.stats.total_messages,
-            h.last_live,
-        ]
-        for h in run.harvests
-    ]
-    print(
-        format_table(
-            ["region", "nodes", "events", "messages", "last event"],
-            rows,
-            title=(
-                f"{args.workload}: {run.regions} region(s), "
-                f"window {run.window}, {args.space_jobs} job(s)"
-            ),
-        )
-    )
-    print(
-        f"  clock {run.clock:,}  events {run.events_fired:,}  "
-        f"messages {run.messages:,}"
-    )
-    tr = run.transport
-    print(
-        f"  {tr['barriers']:,} barriers ({tr['barrier_wall_s']:.3f}s), "
-        f"{tr['messages']:,} staged messages, {tr['bytes']:,} bytes"
-    )
-    print(f"  memory {checks['memory'][:16]}  trace {checks['trace'][:16]}")
-
-    if args.workload == "sssp":
-        # The one workload with an exact oracle: overlay the harvested
-        # memory image onto a fresh build and compare against Dijkstra.
-        from repro.apps.graphs import dijkstra, geometric_graph
-
-        ref = run.overlay(spec.build(0))
-        graph = geometric_graph(
-            args.vertices, degree=5, long_edge_fraction=0.08,
-            max_weight=20, seed=7,
-        )
-        if ref.space_app.distances() != dijkstra(graph, 0):
-            print("FAIL: distances diverged from Dijkstra")
-            return 1
-        print("  distances verified against Dijkstra")
-
-    if args.space_verify and args.space_jobs != 1:
-        serial = run_checksums(run_space(spec, jobs=1))
-        diffs = [k for k in checks if checks[k] != serial[k]]
-        if diffs:
-            print(f"FAIL: parallel diverged from serial on {diffs}")
-            return 1
-        print(
-            f"  verified: serial space run is bit-identical "
-            f"({len(checks)} checksums)"
-        )
-    return 0
-
-
 def _fault_args(args):
     """(faults_enabled, overrides) from the check command's fault flags.
 
@@ -429,28 +319,6 @@ def _cmd_check(args) -> int:
     from repro.check import run_seeds, run_stress
 
     faults, overrides = _fault_args(args)
-    if args.space_jobs and args.chaos and overrides.get("crash_rate") != 0:
-        # Precise capability check: chaos always derives a node-crash
-        # schedule, and crash schedules cannot run space-parallel — but
-        # a chaos plan whose crash knobs are overridden to zero is
-        # wire-fault-only and partitions fine.
-        print(
-            "check: --chaos derives a node crash schedule, which cannot "
-            "run space-parallel (crash recovery reaches across regions "
-            "with zero latency).  Pass --crash-rate 0 to run the chaos "
-            "wire faults under --space-jobs, or drop --space-jobs",
-            file=sys.stderr,
-        )
-        return 2
-    space = {}
-    if args.space_jobs:
-        space = dict(
-            space_regions=_space_regions(args),
-            space_jobs=args.space_jobs,
-            space_window=args.space_window,
-            space_verify=args.space_verify,
-        )
-
     if args.seed is not None:
         # Reproduce one seed with a full transcript of any failure.
         result = run_stress(
@@ -459,7 +327,6 @@ def _cmd_check(args) -> int:
             faults=faults,
             fault_overrides=overrides,
             chaos=args.chaos,
-            **space,
         )
         print(result.describe())
         for cycle, node, kind, epoch in result.crash_events:
@@ -491,7 +358,6 @@ def _cmd_check(args) -> int:
         chaos=args.chaos,
         jobs=_resolve_jobs(args),
         shard=args.shard,
-        **space,
     )
     cycles = sum(r.cycles for r in results)
     messages = sum(r.messages for r in results)
@@ -561,14 +427,6 @@ def _cmd_check(args) -> int:
             flags = " --faults" if args.faults else ""
             if args.chaos:
                 flags += " --chaos"
-            if args.space_jobs:
-                flags += f" --space-jobs {args.space_jobs}"
-                if args.space_regions:
-                    flags += f" --space-regions {args.space_regions}"
-                if args.space_window:
-                    flags += f" --space-window {args.space_window}"
-                if args.space_verify:
-                    flags += " --space-verify"
             print(
                 f"reproduce with: python -m repro check{flags} --seed "
                 + f" / --seed ".join(str(s) for s in bad_seeds[:5])
@@ -771,7 +629,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         socket_path=args.socket,
         jobs=args.jobs,
-        space_jobs=args.space_jobs,
         cache_size=args.cache_size,
         cache_file=args.cache_file,
         max_pending=args.max_pending,
@@ -844,7 +701,6 @@ COMMANDS = {
     "table-3-1": (_cmd_table_3_1, "Table 3-1: delayed-operation costs"),
     "fig-3-1": (_cmd_fig_3_1, "Figure 3-1: beam-search sync styles"),
     "costs": (_cmd_costs, "Section 3.1 latency budget"),
-    "run": (_cmd_run, "space-parallel run of one partitioned machine"),
     "check": (_cmd_check, "coherence oracle over seeded stress runs"),
     "ledger": (_cmd_ledger, "2PC bank-ledger crash/recovery sweep"),
     "sweep": (_cmd_sweep, "parameter-grid sweep across worker processes"),
@@ -887,42 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="run only the i-th of N interleaved task shards "
                 "(1-based); the union of all shards is the full sweep",
             )
-
-    def add_space(p, default_jobs=0):
-        p.add_argument(
-            "--space-jobs",
-            type=int,
-            default=default_jobs,
-            metavar="N",
-            help="space-partition the machine itself across N "
-            "processes: this one steps mesh region 0 and one worker "
-            "process steps each other region (1 = every region in "
-            "this process, bit-identical to N; 0 = off)",
-        )
-        p.add_argument(
-            "--space-regions",
-            type=int,
-            default=0,
-            metavar="R",
-            help="mesh regions for --space-jobs (default: one per "
-            "process, or 2 for the serial driver; clamped to the mesh "
-            "height)",
-        )
-        p.add_argument(
-            "--space-window",
-            type=int,
-            default=0,
-            metavar="W",
-            help="synchronization window in cycles (default and cap: "
-            "the conservative lookahead bound, net_fixed_cycles + "
-            "net_hop_cycles)",
-        )
-        p.add_argument(
-            "--space-verify",
-            action="store_true",
-            help="also run the serial space driver and require the "
-            "parallel run to match it checksum-for-checksum",
-        )
 
     for name, (_fn, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
@@ -1095,10 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="also crash and restart nodes: each seed derives a "
                 "crash rate, down window and durability mode on top of "
-                "the wire faults; fails if no recovery ever happened "
-                "(crash schedules cannot run space-parallel; pass "
-                "--crash-rate 0 to keep the wire faults under "
-                "--space-jobs)",
+                "the wire faults; fails if no recovery ever happened",
             )
             p.add_argument(
                 "--crash-rate",
@@ -1106,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="pin the per-cycle node crash rate; 0 strips the "
                 "crash schedule from --chaos, leaving a wire-fault-only "
-                "plan that can run space-parallel",
+                "plan",
             )
             p.add_argument(
                 "--transcript",
@@ -1116,7 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(CI artifact)",
             )
             add_jobs(p, shard=True)
-            add_space(p)
         elif name == "ledger":
             p.add_argument(
                 "--seeds",
@@ -1167,43 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "events) to this file (CI artifact)",
             )
             add_jobs(p)
-        elif name == "run":
-            p.add_argument(
-                "workload",
-                choices=("sssp", "beam"),
-                help="which workload to run space-partitioned",
-            )
-            p.add_argument(
-                "--nodes",
-                type=int,
-                default=16,
-                help="mesh size (default 16)",
-            )
-            p.add_argument(
-                "--vertices",
-                type=int,
-                default=800,
-                help="sssp: graph size (default 800)",
-            )
-            p.add_argument(
-                "--copies",
-                type=int,
-                default=3,
-                help="sssp: replication degree (default 3)",
-            )
-            p.add_argument(
-                "--beam",
-                type=int,
-                default=60,
-                help="beam: beam width (default 60)",
-            )
-            p.add_argument(
-                "--mode",
-                type=str,
-                default="delayed",
-                help="beam: sync style (default delayed)",
-            )
-            add_space(p, default_jobs=1)
         elif name == "serve":
             p.add_argument(
                 "--host",
@@ -1230,17 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=0,
                 metavar="N",
                 help="warm worker processes (default 0 = one per core)",
-            )
-            p.add_argument(
-                "--space-jobs",
-                type=int,
-                default=0,
-                metavar="N",
-                help="run 'space' requests across N processes: the "
-                "request's handler thread steps region 0 and a warm "
-                "fleet of N-1 region workers steps the rest, instead "
-                "of running serially in a pool worker (default 0 = no "
-                "fleet)",
             )
             p.add_argument(
                 "--cache-size",
@@ -1283,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=str,
                 required=True,
                 help="request op: simulate, check, sweep, bench, "
-                "space, status",
+                "status",
             )
             p.add_argument(
                 "--host", type=str, default="127.0.0.1", help="daemon host"

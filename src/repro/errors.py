@@ -105,11 +105,6 @@ class SimulationError(PlusError):
     """The discrete-event simulation failed (e.g. ran past its horizon)."""
 
 
-class CodecError(SimulationError):
-    """A message or record the space-parallel boundary codec cannot
-    represent or parse (see ``repro.parallel.codec``)."""
-
-
 class DeadlockError(SimulationError):
     """The event queue drained while simulated threads were still blocked.
 

@@ -58,14 +58,8 @@ class PlusMachine:
         # ``mesh`` is the machine's topology (historically always a
         # Mesh; ``params.topology`` selects e.g. a torus instead).
         self.mesh = make_topology(params.topology, n_nodes, width, height)
-        # Simulation substrate (engine + fabric) and per-node context
-        # binding are overridable hooks: the space-parallel
-        # SpaceMachine builds one engine/fabric *per mesh region* and
-        # swaps the active pair before each node captures its
-        # references (Node, CM and CPU all bind machine.engine /
-        # machine.fabric at construction time).  The base machine's
-        # behavior is byte-for-byte the classic single-engine assembly.
-        self._init_simulation(tie_break_rng)
+        self.engine = Engine(tie_break_rng=tie_break_rng)
+        self.fabric = Fabric(self.engine, self.mesh, params)
         #: The all-zeros page image every node's memory zeroes frames
         #: from: immutable, so one per machine instead of one per node.
         self.zero_page = zero_template(params.page_words)
@@ -73,7 +67,6 @@ class PlusMachine:
         nodes: List[Node] = []
         self.nodes = nodes
         for i in range(n_nodes):
-            self._bind_node_context(i)
             nodes.append(Node(i, self))
         if competitive is not None:
             self.competitive: Optional[CompetitiveReplicator] = competitive
@@ -126,18 +119,6 @@ class PlusMachine:
         self._next_tid = 0
 
     # ------------------------------------------------------------------
-    # Assembly hooks (overridden by the space-parallel SpaceMachine).
-    # ------------------------------------------------------------------
-    def _init_simulation(self, tie_break_rng) -> None:
-        """Create the simulation substrate: ``self.engine`` / ``self.fabric``."""
-        self.engine = Engine(tie_break_rng=tie_break_rng)
-        self.fabric = Fabric(self.engine, self.mesh, self.params)
-
-    def _bind_node_context(self, node_id: int) -> None:
-        """Called right before ``Node(node_id, self)`` is constructed, so
-        a subclass can point ``self.engine``/``self.fabric`` at the
-        engine the node should live on.  No-op for the base machine."""
-
     def next_tid(self) -> int:
         """Allocate a machine-unique thread id (monotonic from 0)."""
         tid = self._next_tid

@@ -27,7 +27,7 @@ from itertools import count
 from typing import Callable, Dict, List, Optional
 
 from repro.core.copylist import CopyList
-from repro.errors import ConfigError, MappingError, ReplicationError
+from repro.errors import MappingError, ReplicationError
 from repro.memory.address import PhysPage
 from repro.network.message import Message, MsgKind
 
@@ -301,18 +301,6 @@ class ReplicationManager:
                 f"node {node_id} already holds a copy of vpage {vpage}"
             )
         machine = self._machine
-        if getattr(machine, "regions", 1) > 1:
-            # A live copy splices the copy-list and rebuilds mapping
-            # tables machine-wide in zero simulated time — a global
-            # serialization point the space-partitioned machine cannot
-            # express (each region would have to see the splice at the
-            # same instant across engines).  Setup-time replication
-            # (before the clocks start) is unaffected.
-            raise ConfigError(
-                "live replication is not supported on a space-partitioned "
-                f"machine ({machine.regions} regions): copy-list splices "
-                "are a zero-latency global operation"
-            )
         pred = self._predecessor_copy(clist, node_id, after)
         node = machine.nodes[node_id]
         ppage = node.memory.allocate_frame()

@@ -42,7 +42,7 @@ class FabricStats:
     """Machine-wide network traffic counters.
 
     Every send attempt is counted inline by the fabric's send paths
-    (lossless, faulty, staged across a region boundary); a retransmission
+    (lossless and faulty); a retransmission
     counts like any other send.  Sends the fault plan swallows still
     count as wire traffic (the sender paid for them); the fault counters
     then say what the wire did on top:
@@ -129,9 +129,6 @@ class Fabric:
         engine: Engine,
         mesh: Topology,
         params: TimingParams,
-        *,
-        msg_id_base: int = 0,
-        msg_id_step: int = 1,
     ) -> None:
         self.engine = engine
         self.mesh = mesh
@@ -157,18 +154,7 @@ class Fabric:
         #: are a property of this fabric's traffic alone (a process that
         #: runs many simulations — a sweep worker — reproduces the same
         #: ids for the same run regardless of what ran before it).
-        #: ``msg_id_base``/``msg_id_step`` let several fabrics coexist in
-        #: one process with provably disjoint id streams (the
-        #: space-parallel driver gives region ``r`` of ``R`` the residue
-        #: class ``r mod R``); the default 0/1 is the classic single-
-        #: fabric dense numbering.
-        if msg_id_step < 1 or not 0 <= msg_id_base < msg_id_step:
-            raise ConfigError(
-                f"msg_id_base/msg_id_step must satisfy 0 <= base < step "
-                f"(got {msg_id_base}/{msg_id_step})"
-            )
-        self._next_msg_id = msg_id_base
-        self._msg_id_step = msg_id_step
+        self._next_msg_id = 0
         #: Free lists for recycled delivery events and Message objects.
         #: Message pooling trades allocation for reuse, which is only
         #: legal while nothing cares about object identity: a trace
@@ -259,7 +245,7 @@ class Fabric:
             # First injection stamps the fabric-local identity; a
             # retransmission re-sends the same object and keeps its id.
             msg.msg_id = self._next_msg_id
-            self._next_msg_id += self._msg_id_step
+            self._next_msg_id += 1
 
         if self.fault_plan is not None:
             return self._send_routed(msg, receiver, src, dst, floor_key)
@@ -306,18 +292,17 @@ class Fabric:
     def _send_routed(
         self,
         msg: Message,
-        receiver: Optional[Receiver],
+        receiver: Receiver,
         src: int,
         dst: int,
         floor_key: int,
     ) -> int:
-        """The send body every path but the lossless fast path shares:
-        faulty sends, and the space-parallel fabric's cross-region sends.
-        Route, account, consult the plan (if any), then deliver 0, 1 or
-        2 copies through :meth:`_deliver`.  Per-delivery jitter lands
-        *outside* the FIFO floor, so same-pair messages can reorder
-        within the jitter bound — the sequence numbers of the reliable
-        sublayer put them back in order.
+        """The faulty send body (the lossless fast path is inlined in
+        :meth:`send`).  Route, account, consult the plan, then deliver
+        0, 1 or 2 copies.  Per-delivery jitter lands *outside* the FIFO
+        floor, so same-pair messages can reorder within the jitter bound
+        — the sequence numbers of the reliable sublayer put them back in
+        order.
 
         The route is walked arithmetically, exactly as on the fast path:
         the plan judges outages by link id along the step plan, and only
@@ -331,11 +316,7 @@ class Fabric:
         stats.total_messages += 1
         stats.total_hops += steps[0] + steps[2]
         stats.total_bytes += size
-        plan = self.fault_plan
-        if plan is None:
-            fate, delays = "sent", (0,)
-        else:
-            fate, delays = plan.judge(msg, now, src, steps)
+        fate, delays = self.fault_plan.judge(msg, now, src, steps)
         if not delays:
             stats.drops += 1
             if self._trace is not None:
@@ -351,54 +332,16 @@ class Fabric:
             stats.dups += 1
         if self._trace is not None:
             self._trace.record(now, msg, primary, fate=fate)
+        pool = self._delivery_pool
         for delay in delays:
-            self._deliver(receiver, dst, arrive + delay, msg)
+            if pool:
+                delivery = pool.pop()
+                delivery.receiver = receiver
+                delivery.msg = msg
+            else:
+                delivery = _Delivery(receiver, msg, pool)
+            self.engine.at(arrive + delay, delivery)
         return primary
-
-    def _deliver(
-        self, receiver: Optional[Receiver], dst: int, arrive: int, msg: Message
-    ) -> None:
-        """Schedule one delivery copy of a routed send (the space-parallel
-        fabric stages cross-region copies here instead)."""
-        pool = self._delivery_pool
-        if pool:
-            delivery = pool.pop()
-            delivery.receiver = receiver
-            delivery.msg = msg
-        else:
-            delivery = _Delivery(receiver, msg, pool)
-        self.engine.at(arrive, delivery)
-
-    # ------------------------------------------------------------------
-    def inject(self, arrive: int, msg: Message, key: tuple) -> None:
-        """File an externally-timed message into the engine's front lane.
-
-        The space-parallel driver uses this to deliver cross-region
-        messages at window barriers: the *source* region's fabric
-        already routed, timed, traced and counted the send — this side
-        only files the delivery event.  ``key`` is the canonical
-        ``(source region, staging seq)`` rank; the front lane fires
-        injected deliveries before every locally-scheduled event of
-        their cycle, in key order, which keeps same-cycle ordering — and
-        therefore the whole run — independent of which barrier happened
-        to carry the message (see ``Engine.inject``).  ``arrive`` must
-        not be in the past (guaranteed by the conservative window
-        bound; the engine enforces it)."""
-        receiver = (
-            self._receivers[msg.dst]
-            if 0 <= msg.dst < len(self._receivers)
-            else None
-        )
-        if receiver is None:
-            raise ConfigError(f"no receiver attached for node {msg.dst}")
-        pool = self._delivery_pool
-        if pool:
-            delivery = pool.pop()
-            delivery.receiver = receiver
-            delivery.msg = msg
-        else:
-            delivery = _Delivery(receiver, msg, pool)
-        self.engine.inject(arrive, key, delivery)
 
     # ------------------------------------------------------------------
     def note_applied(self, msg: Message) -> None:

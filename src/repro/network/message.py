@@ -93,39 +93,11 @@ del _i, _kind
 
 N_KINDS = len(MsgKind)
 
-#: Kinds in dense-index order (``KINDS_BY_IDX[kind.idx] is kind``): the
-#: decode table of the boundary codec (``repro.parallel.codec``).
-KINDS_BY_IDX = tuple(MsgKind)
-
 # Enum members bound once at import: an ``Enum.MEMBER`` load costs
 # ~10x a global on CPython 3.11 (DESIGN.md, "Hot-path rules").
 _UPDATE = MsgKind.UPDATE
 _INVALIDATE = MsgKind.INVALIDATE
 _PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
-
-#: Stable field enumeration of :class:`Message`, in wire order, for the
-#: zero-pickle boundary codec.  This tuple is a versioned contract:
-#: ``repro.parallel.codec`` packs exactly these fields in exactly this
-#: order, and a test pins it against the dataclass, so adding, removing
-#: or reordering ``Message`` fields forces a deliberate codec-version
-#: bump instead of a silent wire-format skew.
-MESSAGE_FIELDS = (
-    "kind",
-    "src",
-    "dst",
-    "addr",
-    "value",
-    "op",
-    "operand",
-    "origin",
-    "xid",
-    "words",
-    "writes",
-    "chain_done",
-    "seq",
-    "epoch",
-    "msg_id",
-)
 
 
 @dataclass(slots=True)

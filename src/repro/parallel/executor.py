@@ -14,9 +14,8 @@ contract, in priority order:
    so a warm worker reproduces a fresh process exactly.)
 2. **One fleet** — :class:`WorkerPool` is the only code that spawns,
    reaps or tears down worker processes.  A sweep builds a private pool;
-   the ``repro serve`` daemon and the space-parallel
-   :class:`~repro.parallel.spacetime.SpaceFleet` keep one warm across
-   requests.  Each worker is created once and runs many tasks, so
+   the ``repro serve`` daemon keeps one warm across requests.  Each
+   worker is created once and runs many tasks, so
    import/build cost is paid per worker, not per task: each worker
    imports the simulator before its first task (a no-op for what it
    inherited from its parent through ``fork``).
@@ -165,9 +164,8 @@ def _worker_main(wid, task_q, conn, current) -> None:
     Determinism test hook: ``REPRO_TEST_WORKER_DELAY_MS`` (e.g.
     ``"0:150,2:40"``) makes worker ``wid`` sleep that many milliseconds
     before sending each result.  It exists so tests can force arbitrary
-    completion orders and assert the ordered-flush aggregation (and the
-    space-parallel barrier driver) stay byte-identical; it delays
-    results, never reorders or alters them.
+    completion orders and assert the ordered-flush aggregation stays
+    byte-identical; it delays results, never reorders or alters them.
     """
     delay_s = 0.0
     spec = os.environ.get("REPRO_TEST_WORKER_DELAY_MS")
@@ -266,7 +264,7 @@ def run_sweep(
 
 
 # ----------------------------------------------------------------------
-# The worker fleet: one warm pool per sweep, daemon or space fleet.
+# The worker fleet: one warm pool per sweep or daemon.
 # ----------------------------------------------------------------------
 class PoolFuture:
     """Outcome slot for one task submitted to a :class:`WorkerPool`."""
@@ -296,9 +294,9 @@ class WorkerPool:
     """The one warm worker fleet: every sweep worker process lives here.
 
     :func:`run_sweep` builds a private pool per sweep; the ``repro
-    serve`` daemon and :class:`~repro.parallel.spacetime.SpaceFleet`
-    keep one alive across requests and runs.  Workers are created once
-    and stay warm, and many submitter threads may share them.  Contract:
+    serve`` daemon keeps one alive across requests.  Workers are created
+    once and stay warm, and many submitter threads may share them.
+    Contract:
 
     * :meth:`submit` is thread-safe and returns a :class:`PoolFuture`
       that resolves to the task's :class:`TaskResult`;

@@ -1,22 +1,10 @@
-"""Shared memory, twice over.
+"""Simulated shared memory: the paper's simulator library.
 
-The *simulated* half is the paper's simulator library: "a library
-package provides functions to create simulated shared memory and to
-allocate it on the nodes specified by the user" (Section 2.5).
+"A library package provides functions to create simulated shared memory
+and to allocate it on the nodes specified by the user" (Section 2.5).
 Placement is page granular: every allocation is homed on a chosen node
 (which holds the master copy) and may be replicated on further nodes at
 set-up time.
-
-The *host* half is :class:`BoundaryRing`: a single-producer
-single-consumer ring of signed 64-bit words over
-``multiprocessing.shared_memory``, used by the space-parallel transport
-(``repro.parallel.spacetime``) to move codec-packed boundary records
-between region processes without pickling.  One ring exists per
-ordered (source region, destination region) pair; the window barrier
-protocol provides the happens-before edges (a producer's window step is
-acknowledged before the consumer's next step begins), so plain
-memoryview reads and writes with monotonically increasing head/tail
-counters are sufficient synchronization.
 """
 
 from __future__ import annotations
@@ -25,25 +13,6 @@ import math
 from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
-
-
-def _load_shared_memory():
-    """``multiprocessing.shared_memory``, or None on platforms without it.
-
-    Imported on first use: only the space-parallel transport needs it,
-    and it pulls most of ``multiprocessing`` into every simulator process.
-    """
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - minimal platforms
-        return None
-    return shared_memory
-
-
-def __getattr__(name: str):
-    if name == "_shared_memory":
-        return _load_shared_memory()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Segment:
@@ -192,161 +161,3 @@ class SharedMemory:
         if count is None:
             count = segment.nwords - start
         return [machine.peek(segment.addr(start + i)) for i in range(count)]
-
-
-# ----------------------------------------------------------------------
-# Host-level boundary rings (the space-parallel transport's data plane).
-# ----------------------------------------------------------------------
-class BoundaryRing:
-    """SPSC ring of int64 words in one ``multiprocessing.shared_memory``
-    segment.
-
-    Layout (all slots signed 64-bit little-endian)::
-
-        [MAGIC, VERSION, CAPACITY, HEAD, TAIL, data[CAPACITY]]
-
-    ``HEAD``/``TAIL`` are monotonically increasing word counts (never
-    wrapped), so ``TAIL - HEAD`` is the occupancy and ``counter %
-    CAPACITY`` the physical slot.  :meth:`push` is all-or-nothing: a
-    batch that does not fit is refused and the producer falls back to
-    the driver's drain protocol (see ``parallel/spacetime.py``) —
-    nothing ever blocks inside the ring, which is what makes the
-    barrier protocol deadlock-free by construction.
-
-    The creator owns the segment (``close(unlink=True)`` destroys it).
-    Resource-tracker registrations stay balanced without intervention:
-    the worker processes share the driver's tracker, where the cache is
-    a set — the creator's registration and each attacher's
-    re-registration collapse to one entry, which the owner's ``unlink``
-    removes.
-    """
-
-    MAGIC = 0x504C5553_52494E47  # "PLUSRING"
-    _HEADER = 5
-
-    def __init__(self, shm, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-        self._words = shm.buf.cast("q")
-        if self._words[0] != self.MAGIC:
-            raise ConfigError(
-                f"shared segment {shm.name!r} is not a boundary ring"
-            )
-        self.version = self._words[1]
-        self.capacity = self._words[2]
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def create(cls, capacity_words: int, version: int) -> "BoundaryRing":
-        shared_memory = _load_shared_memory()
-        if shared_memory is None:  # pragma: no cover
-            raise ConfigError(
-                "multiprocessing.shared_memory is unavailable on this "
-                "platform; run the serial space driver (jobs=1)"
-            )
-        if capacity_words < 8:
-            raise ConfigError(
-                f"ring capacity must be >= 8 words (got {capacity_words})"
-            )
-        shm = shared_memory.SharedMemory(
-            create=True, size=8 * (cls._HEADER + capacity_words)
-        )
-        words = shm.buf.cast("q")
-        words[1] = version
-        words[2] = capacity_words
-        words[3] = 0
-        words[4] = 0
-        words[0] = cls.MAGIC  # stamped last: an attacher sees a full header
-        del words
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, version: int) -> "BoundaryRing":
-        shared_memory = _load_shared_memory()
-        if shared_memory is None:  # pragma: no cover
-            raise ConfigError(
-                "multiprocessing.shared_memory is unavailable on this "
-                "platform; run the serial space driver (jobs=1)"
-            )
-        shm = shared_memory.SharedMemory(name=name)
-        ring = cls(shm, owner=False)
-        if ring.version != version:
-            spoken = ring.version
-            ring.close()
-            raise ConfigError(
-                f"boundary ring {name!r} speaks codec version "
-                f"{spoken}, this process speaks {version}"
-            )
-        return ring
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    # -- producer side -------------------------------------------------
-    @property
-    def free_words(self) -> int:
-        words = self._words
-        return self.capacity - (words[4] - words[3])
-
-    def push(self, records: Sequence[int]) -> bool:
-        """Write ``records`` after the current tail; False if they do
-        not all fit (the ring is left untouched)."""
-        n = len(records)
-        words = self._words
-        head = words[3]
-        tail = words[4]
-        if n > self.capacity - (tail - head):
-            return False
-        cap = self.capacity
-        pos = tail % cap
-        base = self._HEADER
-        first = min(n, cap - pos)
-        words[base + pos : base + pos + first] = memoryview_list(
-            records[:first]
-        )
-        if first < n:
-            words[base : base + n - first] = memoryview_list(records[first:])
-        words[4] = tail + n
-        return True
-
-    # -- consumer side -------------------------------------------------
-    def drain(self) -> List[int]:
-        """Remove and return every readable word, in push order."""
-        words = self._words
-        head = words[3]
-        tail = words[4]
-        n = tail - head
-        if n <= 0:
-            return []
-        cap = self.capacity
-        pos = head % cap
-        base = self._HEADER
-        first = min(n, cap - pos)
-        out = words[base + pos : base + pos + first].tolist()
-        if first < n:
-            out.extend(words[base : base + n - first].tolist())
-        words[3] = tail
-        return out
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self, unlink: bool = False) -> None:
-        words = self._words
-        self._words = None
-        if words is not None:
-            words.release()
-        self._shm.close()
-        if unlink and self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double close
-                pass
-
-
-def memoryview_list(values: Sequence[int]):
-    """A ``memoryview``-assignable int64 view of ``values``."""
-    import array
-
-    if isinstance(values, array.array) and values.typecode == "q":
-        return values
-    return array.array("q", values)

@@ -3,13 +3,9 @@
 The PLUS machine is a *service* — many processors submitting memory
 operations to a shared substrate — and this daemon gives the
 reproduction the same shape: a long-running process that accepts
-``simulate`` / ``check`` / ``sweep`` / ``bench`` / ``space`` requests
-from many concurrent clients over JSON lines (TCP or unix socket) and
-dispatches them onto one long-lived
-:class:`~repro.parallel.executor.WorkerPool`.  With ``--space-jobs`` it
-also keeps a warm :class:`~repro.parallel.spacetime.SpaceFleet` whose
-region worker processes persist across ``space`` requests (the
-request's handler thread steps region 0 itself).
+``simulate`` / ``check`` / ``sweep`` / ``bench`` requests from many
+concurrent clients over JSON lines (TCP or unix socket) and dispatches
+them onto one long-lived :class:`~repro.parallel.executor.WorkerPool`.
 
 Request lifecycle (documented in DESIGN §11):
 
@@ -87,7 +83,6 @@ class ReproDaemon:
         port: int = 0,
         socket_path: Optional[str] = None,
         jobs: int = 0,
-        space_jobs: int = 0,
         cache_size: int = 128,
         cache_file: Optional[str] = None,
         max_pending: int = 32,
@@ -99,7 +94,6 @@ class ReproDaemon:
         self.port = port
         self.socket_path = socket_path
         self.jobs = effective_jobs(jobs)
-        self.space_jobs = max(0, space_jobs)
         self.cache = ResultCache(cache_size, persist_path=cache_file)
         self.stats = ServiceStats()
         self.max_pending = max(1, max_pending)
@@ -112,8 +106,6 @@ class ReproDaemon:
         self._clients: set = set()
         self._clients_lock = threading.Lock()
         self._pool: Optional[WorkerPool] = None
-        self._space_fleet = None
-        self._space_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
@@ -124,17 +116,6 @@ class ReproDaemon:
     def start(self) -> None:
         """Bind, spin up the pool, and start accepting clients."""
         self._pool = WorkerPool(jobs=self.jobs)
-        if self.space_jobs:
-            # Warm region workers for the ``space`` op: the fleet's
-            # processes persist across requests, so repeat space runs
-            # skip process spawn and interpreter warm-up entirely.
-            # This is the one place the daemon process imports
-            # simulation code: a space request's handler thread runs
-            # the window loop inline and steps region 0 itself, while
-            # the fleet's space_jobs - 1 workers step the other regions.
-            from repro.parallel.spacetime import SpaceFleet
-
-            self._space_fleet = SpaceFleet(jobs=self.space_jobs)
         if self.socket_path:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
@@ -197,8 +178,6 @@ class ReproDaemon:
                 client.sock.close()
             except OSError:  # pragma: no cover
                 pass
-        if self._space_fleet is not None:
-            self._space_fleet.shutdown()
         if self._pool is not None:
             self._pool.shutdown(cancel_pending=True)
         if self.socket_path and os.path.exists(self.socket_path):
@@ -409,7 +388,6 @@ class ReproDaemon:
                     "pool_alive": (
                         self._pool.alive_workers if self._pool else 0
                     ),
-                    "space_jobs": self.space_jobs,
                 },
                 timer=timer,
             )
@@ -550,24 +528,6 @@ class ReproDaemon:
         self, client, request_id, spec, params: Dict, timer: RequestTimer
     ) -> Any:
         timer.running()
-        if spec.name == "space" and self._space_fleet is not None:
-            # Space runs step region 0 on this handler thread and the
-            # other regions on the warm region fleet, instead of a pool
-            # worker; the fleet serves one run at a time, so runs
-            # serialize on a lock (the payload is cacheable + coalesced,
-            # so contention is rare in practice).
-            from repro.server.ops import space_point
-
-            t0 = time.perf_counter()
-            with self._space_lock:
-                self.stats.bump("space_fleet_runs")
-                value = space_point(
-                    **params,
-                    jobs=max(2, params["regions"]),
-                    fleet=self._space_fleet,
-                )
-            timer.add_run(time.perf_counter() - t0)
-            return value
         if spec.expand is not None:
             jobs_list: List[Tuple[str, Dict]] = spec.expand(params)
             total = len(jobs_list)

@@ -3,10 +3,8 @@
 Like :mod:`repro.parallel.grid`, every function here is a
 :class:`~repro.parallel.tasks.SweepTask` target: module-level,
 importable by path, picklable kwargs in, a plain JSON-serializable dict
-out.  Without ``--space-jobs`` the daemon process imports no simulation
-code: these run inside the warm worker pool.  With ``--space-jobs`` a
-``space`` request's handler thread calls :func:`space_point` inline and
-steps region 0 itself, while the daemon's region fleet steps the rest.
+out.  The daemon process imports no simulation code: these run inside
+the warm worker pool.
 """
 
 from __future__ import annotations
@@ -48,62 +46,6 @@ def check_point(
         "dups": result.dups,
         "retransmits": result.retransmits,
         "live_error": result.live_error,
-    }
-
-
-def space_point(
-    seed: int,
-    faults: bool,
-    regions: int,
-    window: int,
-    jobs: int = 1,
-    fleet=None,
-) -> Dict[str, Any]:
-    """One stress seed on the space-partitioned machine, summarized.
-
-    Dispatched to a pool worker (the default) this runs the in-process
-    serial space driver — pool workers are daemonic and cannot spawn
-    region processes — over real boundary rings (``transport="shm"``),
-    so it moves the same codec bytes the region processes would.  A
-    daemon started with ``--space-jobs`` instead calls it inline with
-    its warm :class:`~repro.parallel.spacetime.SpaceFleet`
-    (``jobs >= 2``): the calling thread steps region 0 and the same
-    region worker processes step the rest across requests.  Both paths
-    produce byte-identical payloads: every field below is deterministic
-    for a given (seed, faults, regions, window) key, which is what
-    makes the op cacheable.
-    """
-    from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
-
-    spec = SpaceSpec.make(
-        "repro.check.stress:build_space_stress",
-        {
-            "seed": seed,
-            "inject_bug": False,
-            "faults": faults,
-            "chaos": False,
-            "fault_overrides": None,
-            "regions": regions,
-            "window": window,
-        },
-        label=f"serve space seed {seed}",
-    )
-    run = run_space(spec, jobs=jobs, transport="shm", fleet=fleet)
-    tr = run.transport
-    return {
-        "seed": seed,
-        "ok": run.error is None,
-        "error": (
-            None
-            if run.error is None
-            else f"{type(run.error).__name__}: {run.error}"
-        ),
-        "cycles": run.clock,
-        "regions": regions,
-        "barriers": tr["barriers"],
-        "messages": tr["messages"],
-        "transport_bytes": tr["bytes"],
-        "checksums": run_checksums(run),
     }
 
 

@@ -258,19 +258,6 @@ register_op(
 
 register_op(
     OpSpec(
-        name="space",
-        fn="repro.server.ops:space_point",
-        params=(
-            Param("seed", int, default=0, aliases=("rng_seed",)),
-            Param("faults", bool, default=False),
-            Param("regions", int, default=2),
-            Param("window", int, default=0),
-        ),
-    )
-)
-
-register_op(
-    OpSpec(
         name="bench",
         fn="repro.server.ops:bench_point",
         params=(

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import gc
 import heapq
-from bisect import insort
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -136,14 +135,6 @@ class Engine:
                 "inlined as a literal in the scheduling fast paths"
             )
         self._now = 0
-        #: Last cycle any :meth:`run` call fired real (non-no-op) work.
-        #: Windowed drivers (``run(until=...)`` in bounded steps) read
-        #: this to recover the true end-of-run clock: each window ends
-        #: with ``now == until`` even when the tail of the window was
-        #: empty, so ``now`` alone can no longer tell "last live cycle"
-        #: from "last barrier".  A single full-drain ``run()`` leaves
-        #: ``now == _last_live`` by construction.
-        self._last_live = 0
         #: Overflow lane: far-future events as (time, seq, fn).
         self._heap: List[Tuple[int, int, Callback]] = []
         #: Near lane: per-cycle FIFO buckets; bucket ``t & _MASK`` holds
@@ -172,31 +163,12 @@ class Engine:
         #: uses this to explore orderings the default never produces.
         #: Every event then takes the overflow heap (see module docs).
         self._tie_rng = tie_break_rng
-        #: Front lane: externally-injected events per absolute cycle, as
-        #: key-sorted ``(key, fn)`` lists.  At each cycle the front lane
-        #: fires *before* both local lanes, in key order — a fixed rank
-        #: that does not depend on when the entry was injected relative
-        #: to local scheduling.  The space-parallel driver relies on
-        #: this: cross-region deliveries keep one canonical same-cycle
-        #: position no matter which barrier carried them, which is what
-        #: makes window scheduling (any ``W`` up to the lookahead bound)
-        #: invisible in the output.  Empty on every
-        #: non-partitioned machine: the hot loop pays one falsy dict
-        #: check per cycle.
-        self._front: Dict[int, List[Tuple[Tuple[int, int], Callback]]] = {}
-        self._front_count = 0
 
     # ------------------------------------------------------------------
     @property
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self._now
-
-    @property
-    def last_live(self) -> int:
-        """Last cycle any :meth:`run` call fired real work (see
-        ``_last_live``); 0 if no call has fired a live event yet."""
-        return self._last_live
 
     @property
     def events_fired(self) -> int:
@@ -206,7 +178,7 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of events currently scheduled."""
-        return len(self._heap) + self._near + self._front_count
+        return len(self._heap) + self._near
 
     # ------------------------------------------------------------------
     def at(self, time: int, fn: Callback) -> None:
@@ -231,30 +203,6 @@ class Engine:
             # compared), so every run is still reproducible per seed.
             seq |= self._tie_rng.getrandbits(32) << 40
         heapq.heappush(self._heap, (time, seq, fn))
-
-    def inject(self, time: int, key: Tuple[int, int], fn: Callback) -> None:
-        """File an externally-ordered event into the front lane.
-
-        ``fn`` fires at cycle ``time`` *before* every locally-scheduled
-        event of that cycle; front entries for one cycle fire among
-        themselves in ``key`` order.  Keys must be unique per cycle
-        (``fn`` is never compared) and the caller's key space must be a
-        total order it can reproduce — the space driver uses
-        ``(source region, staging seq)``.  Unlike :meth:`at`, injection
-        never consumes a sequence number or a tie-break rng roll, so
-        local scheduling order is byte-identical whether or not (and
-        whenever) injections happen around it.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot inject event at {time}, now is {self._now}"
-            )
-        entries = self._front.get(time)
-        if entries is None:
-            self._front[time] = [(key, fn)]
-        else:
-            insort(entries, (key, fn))
-        self._front_count += 1
 
     def after(self, delay: int, fn: Callback) -> None:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
@@ -335,20 +283,13 @@ class Engine:
                 ht = heap[0][0]
                 while t < ht and not buckets[t & self._MASK]:
                     t += 1
-                t = t if buckets[t & self._MASK] else ht
-            else:
-                while not buckets[t & self._MASK]:
-                    t += 1
-        elif heap:
-            t = heap[0][0]
-        else:
-            t = None
-        front = self._front
-        if front:
-            ft = min(front)
-            if t is None or ft < t:
-                return ft
-        return t
+                return t if buckets[t & self._MASK] else ht
+            while not buckets[t & self._MASK]:
+                t += 1
+            return t
+        if heap:
+            return heap[0][0]
+        return None
 
     def step(self) -> bool:
         """Run the single earliest event.  Returns False if none remain."""
@@ -356,15 +297,7 @@ class Engine:
         if t is None:
             return False
         heap = self._heap
-        front_entries = self._front.get(t) if self._front else None
-        if front_entries:
-            # Front-lane entries precede both local lanes at their cycle
-            # (see :meth:`inject`).
-            fn = front_entries.pop(0)[1]
-            if not front_entries:
-                del self._front[t]
-            self._front_count -= 1
-        elif heap and heap[0][0] == t:
+        if heap and heap[0][0] == t:
             # Heap-lane entries at a cycle always precede bucket entries
             # (strictly smaller sequence numbers; see module docs).
             _time, _seq, fn = heapq.heappop(heap)
@@ -416,7 +349,6 @@ class Engine:
         # clock back to it re-opens exactly the near-lane window those
         # entries were filed under.
         live = self._now
-        did_real = False
         # Move everything allocated before the run into the collector's
         # permanent generation for the duration of the loop: cyclic-GC
         # passes triggered by the loop's own allocation churn then scan
@@ -429,7 +361,6 @@ class Engine:
         melt = not gc.get_freeze_count()
         if melt:
             gc.freeze()
-        front = self._front
         try:
             while True:
                 if self._near:
@@ -445,44 +376,13 @@ class Engine:
                             t += 1
                 elif heap:
                     t = heap[0][0]
-                elif front:
-                    t = min(front)
                 else:
                     break
-                if front:
-                    ft = min(front)
-                    if ft < t:
-                        t = ft
                 if until is not None and t > until:
                     break
                 self._now = t
                 cycle_base = fired
                 noop_base = self._noop_fires
-                if front:
-                    # Front lane first: injected cross-engine deliveries
-                    # hold the lowest same-cycle rank by construction
-                    # (see :meth:`inject`), already in key order.
-                    entries = front.pop(t, None)
-                    if entries is not None:
-                        try:
-                            while entries:
-                                if fired >= max_events:
-                                    raise SimulationError(
-                                        f"exceeded {max_events} events at "
-                                        f"cycle {self._now}; the simulated "
-                                        "program is probably livelocked"
-                                    )
-                                fn = entries.pop(0)[1]
-                                self._front_count -= 1
-                                fired += 1
-                                fn()
-                        except BaseException:
-                            # Unfired entries return to the lane so a
-                            # caller that catches and resumes sees
-                            # neither duplicates nor losses.
-                            if entries:
-                                front[t] = entries
-                            raise
                 while heap and heap[0][0] == t:
                     if fired >= max_events:
                         raise SimulationError(
@@ -541,12 +441,9 @@ class Engine:
                         )
                 if fired - cycle_base != self._noop_fires - noop_base:
                     live = t
-                    did_real = True
             # Queues drained (or ``until`` reached): report the last
             # cycle that did real work, not a trailing no-op fire.
             self._now = live
-            if did_real:
-                self._last_live = live
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -63,7 +63,6 @@ class ServiceStats:
         "crash_failures",
         "rejected_overload",
         "rejected_quota",
-        "space_fleet_runs",
     )
 
     def __init__(self) -> None:

@@ -16,9 +16,18 @@ class TestParser:
         assert main(["list"]) == 0
         assert "table-2-1" in capsys.readouterr().out
 
-    def test_unknown_command_errors(self):
+    def test_unknown_command_errors(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+        # Removed commands and flags are usage errors, not tracebacks.
+        for argv in (
+            ["run", "sssp"],
+            ["check", "--seed", "3", "--space-jobs", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_argument_defaults(self):
         args = build_parser().parse_args(["table-2-1"])
@@ -52,50 +61,3 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 2-1" in out
 
-
-class TestSpaceCommands:
-    def test_run_sssp_space_serial_with_verify_oracle(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "sssp",
-                    "--nodes",
-                    "16",
-                    "--vertices",
-                    "200",
-                    "--space-jobs",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "2 region(s)" in out
-        assert "distances verified against Dijkstra" in out
-
-    def test_run_beam_across_worker_processes_verifies_identity(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "beam",
-                    "--nodes",
-                    "16",
-                    "--beam",
-                    "24",
-                    "--space-jobs",
-                    "2",
-                    "--space-verify",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "serial space run is bit-identical" in out
-
-    def test_check_space_mode_single_seed(self, capsys):
-        assert main(["check", "--seed", "3", "--space-jobs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "seed 3: ok" in out
-        assert "oracle: ok" in out

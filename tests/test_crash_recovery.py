@@ -341,11 +341,6 @@ def test_chaos_config_derives_crash_knobs_and_implies_faults():
     assert not plain.has_crashes
 
 
-def test_chaos_rejects_space_partitioning():
-    with pytest.raises(ConfigError):
-        run_stress(0, chaos=True, space_regions=2, space_jobs=1)
-
-
 def test_chaos_seed_survives_and_reports_crash_counters():
     result = run_stress(0, chaos=True)
     assert result.ok, result.describe()

@@ -47,11 +47,11 @@ def modules_after(code: str, *path: Path) -> list:
     return json_lines(code, *path)[-1]
 
 
-#: The machine, every layer it is built from, and the space driver.
+#: The machine and every layer it is built from.
 SIMULATOR = (
     "repro.machine", "repro.core", "repro.node", "repro.network",
     "repro.memory", "repro.runtime", "repro.sim", "repro.apps",
-    "repro.check", "repro.parallel.spacetime",
+    "repro.check",
 )
 
 
@@ -77,7 +77,7 @@ class TestImportClosure:
         )
         assert simulator(loaded) == []
 
-    def test_daemon_without_space_jobs_loads_no_simulator(self):
+    def test_daemon_loads_no_simulator(self):
         loaded = modules_after(
             "import os\n"
             "from repro.server import ReproDaemon\n"
@@ -88,7 +88,7 @@ class TestImportClosure:
         assert simulator(loaded) == []
 
     def test_stress_harness_loads_no_multiprocessing(self):
-        # Only space-parallel runs use shared memory rings.
+        # Only sweeps and the daemon fan out across processes.
         host, _ = json_lines(
             "import json, sys\n"
             "import repro.check.stress, repro.runtime.collections\n"

@@ -200,5 +200,6 @@ class TestQueueRoundTrip:
 
 
 def test_unknown_op_rejected():
-    with pytest.raises(ProtocolError):
-        execute_op("bogus", 0, 0, read=lambda o: 0, page_words=64, ring_base=8)
+    for op in ("bogus", "space"):
+        with pytest.raises(ProtocolError):
+            execute_op(op, 0, 0, read=lambda o: 0, page_words=64, ring_base=8)

@@ -529,8 +529,8 @@ class TestCompletionOrderDeterminism:
 
     ``REPRO_TEST_WORKER_DELAY_MS`` (executor test hook) delays chosen
     workers' result sends, forcing completion orders the scheduler
-    would rarely produce naturally; the ordered-flush aggregation and
-    the space-parallel barrier driver must be insensitive to it.
+    would rarely produce naturally; the ordered-flush aggregation must
+    be insensitive to it.
     """
 
     def test_sweep_results_survive_reordered_completions(self, monkeypatch):
@@ -541,23 +541,3 @@ class TestCompletionOrderDeterminism:
         delayed = _strip(run_sweep(tasks, jobs=3, show_progress=False))
         assert delayed == baseline
         assert [r.value for r in delayed] == [x * x for x in range(10)]
-
-    def test_space_run_survives_reordered_completions(self, monkeypatch):
-        from repro.parallel.spacetime import (
-            SpaceSpec,
-            run_checksums,
-            run_space,
-        )
-
-        spec = SpaceSpec.make(
-            "repro.check.stress:build_space_stress",
-            {"seed": 3, "regions": 2},
-            label="delay audit",
-        )
-        baseline = run_checksums(run_space(spec, jobs=2))
-        # Region 0's worker now reports every window step ~80ms late,
-        # so region 1 always reaches the barrier first.
-        monkeypatch.setenv("REPRO_TEST_WORKER_DELAY_MS", "0:80")
-        delayed = run_checksums(run_space(spec, jobs=2))
-        assert delayed == baseline
-        assert delayed == run_checksums(run_space(spec, jobs=1))

@@ -102,9 +102,10 @@ class TestCanonicalization:
         assert "workload" in exc.value.message
 
     def test_unknown_op(self):
-        with pytest.raises(ProtocolError) as exc:
-            get_op("frobnicate")
-        assert exc.value.code == "unknown_op"
+        for name in ("frobnicate", "space"):
+            with pytest.raises(ProtocolError) as exc:
+                get_op(name)
+            assert exc.value.code == "unknown_op"
 
     def test_float_params_accept_ints(self):
         spec = OpSpec(name="x", fn="m:f", params=(Param("p", float, 0.5),))

@@ -184,8 +184,9 @@ class TestErrorHandling:
     def test_structured_errors_keep_the_connection(self):
         with make_daemon() as daemon:
             with ReproClient(port=daemon.port) as client:
-                bad_op = client.request("frobnicate")
-                assert bad_op["error"]["code"] == "unknown_op"
+                for op in ("frobnicate", "space"):
+                    bad_op = client.request(op)
+                    assert bad_op["error"]["code"] == "unknown_op", op
                 bad_params = client.request("check", {"seed": "zero"})
                 assert bad_params["error"]["code"] == "bad_params"
                 # The connection is still serviceable afterwards.
@@ -230,33 +231,6 @@ class TestErrorHandling:
         assert not envelope["ok"]
         assert envelope["error"]["code"] == "task_failed"
         assert "bogus" in envelope["error"]["message"]
-
-
-class TestSpaceOp:
-    def test_pool_and_fleet_paths_return_byte_identical_payloads(self):
-        params = {"seed": 5, "faults": True}
-        with make_daemon(jobs=1) as daemon:
-            with ReproClient(port=daemon.port) as client:
-                pooled = client.request("space", params)
-        with make_daemon(jobs=1, space_jobs=2) as daemon:
-            with ReproClient(port=daemon.port) as client:
-                fleet = client.request("space", params)
-            assert daemon.stats.snapshot()["space_fleet_runs"] == 1
-        assert pooled["ok"] and fleet["ok"]
-        assert pooled["result"]["ok"] and pooled["result"]["messages"] > 0
-        assert canonical_result(pooled) == canonical_result(fleet)
-
-    def test_removed_space_params_are_bad_params(self):
-        with make_daemon(jobs=1) as daemon:
-            with ReproClient(port=daemon.port) as client:
-                for extra in ({"transport": "shm"}, {"adaptive": False}):
-                    bad = client.request("space", {"seed": 1, **extra})
-                    assert bad["error"]["code"] == "bad_params", extra
-                good = client.request("space", {"seed": 1})
-        assert good["ok"] and good["result"]["ok"]
-        assert not {"transport", "adaptive", "pickle_bypassed"} & set(
-            good["result"]
-        )
 
 
 class TestCrashRecovery:
