@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.check.invariants import InvariantMonitor
 from repro.check.oracle import CoherenceOracle, check_conservation
+from repro.core.crash import harvest_crashes
 from repro.core.params import TimingParams
 from repro.errors import ConfigError, PlusError
 from repro.machine import PlusMachine
@@ -180,6 +181,7 @@ class LedgerResult:
     live_error: Optional[str] = None
     crash_flushes: int = 0
     crash_strays: int = 0
+    crash_redrives: int = 0
     stale_epoch_drops: int = 0
 
     @property
@@ -661,16 +663,7 @@ def run_ledger(
         monitor.uninstall()
     result.cycles = machine.engine.now
     result.messages = machine.fabric.stats.total_messages
-    result.crash_events = list(machine.crash_log)
-    result.crashes = sum(1 for e in machine.crash_log if e[2] == "crash")
-    result.recoveries = sum(
-        1 for e in machine.crash_log if e[2] == "restart"
-    )
-    for node in machine.nodes:
-        result.crash_flushes += node.cm.crash_flushes
-        result.crash_strays += node.cm.crash_strays
-        if node.cm.reliable is not None:
-            result.stale_epoch_drops += node.cm.reliable.stale_epoch_drops
+    harvest_crashes(result, machine)
     if result.live_error is not None:
         return result
     decisions = app.decisions()
@@ -725,7 +718,7 @@ def run_ledger_sweep(
     ``require_recovery`` (default), if its crash schedule produced no
     actual recovery (the sweep must *exercise* the machinery, not
     time-out around it)."""
-    from repro.parallel import SweepTask, run_sweep, shard_tasks  # noqa: F401
+    from repro.parallel import SweepTask, run_sweep
 
     tasks = [
         SweepTask.make(

@@ -550,20 +550,12 @@ def _harvest(result: StressResult, machine: PlusMachine) -> None:
     result.dups = stats.dups
     result.retransmits = stats.retransmits
     result.recovered = stats.recovered
-    result.crash_events = list(machine.crash_log)
-    result.crashes = sum(
-        1 for _, _, kind, _ in machine.crash_log if kind == "crash"
-    )
-    result.recoveries = sum(
-        1 for _, _, kind, _ in machine.crash_log if kind == "restart"
-    )
-    for node in machine.nodes:
-        cm = node.cm
-        result.crash_flushes += cm.crash_flushes
-        result.crash_strays += cm.crash_strays
-        result.crash_redrives += cm.crash_redrives
-        if cm.reliable is not None:
-            result.stale_epoch_drops += cm.reliable.stale_epoch_drops
+    if result.config.has_crashes:
+        # Crash tallies exist only on crash plans; crash-free runs never
+        # compile the crash extension.
+        from repro.core.crash import harvest_crashes
+
+        harvest_crashes(result, machine)
 
 
 def run_stress(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List
 
@@ -390,17 +389,8 @@ def _cmd_check(args) -> int:
             print("fault sweep exercised no retransmissions; failing")
             failures += 1
     if args.chaos:
-        crashes = sum(r.crashes for r in results)
-        recoveries = sum(r.recoveries for r in results)
-        flushes = sum(r.crash_flushes for r in results)
-        redrives = sum(r.crash_redrives for r in results)
-        strays = sum(r.crash_strays for r in results)
-        print(
-            f"node crashes: {crashes:,} crashes, {recoveries:,} "
-            f"recoveries, {flushes:,} flushed messages, {redrives:,} "
-            f"re-driven requests, {strays:,} strays absorbed"
-        )
-        if recoveries == 0:
+        print(_crash_totals(results))
+        if not any(r.recoveries for r in results):
             # Same reasoning as the retransmit floor: a chaos sweep
             # where no node ever came back did not exercise recovery.
             print("chaos sweep exercised no crash recovery; failing")
@@ -433,6 +423,20 @@ def _cmd_check(args) -> int:
             )
         return 1
     return 0
+
+
+def _crash_totals(results) -> str:
+    """The ``node crashes:`` summary line of a chaos or ledger sweep."""
+    crashes = sum(r.crashes for r in results)
+    recoveries = sum(r.recoveries for r in results)
+    flushes = sum(r.crash_flushes for r in results)
+    redrives = sum(r.crash_redrives for r in results)
+    strays = sum(r.crash_strays for r in results)
+    return (
+        f"node crashes: {crashes:,} crashes, {recoveries:,} "
+        f"recoveries, {flushes:,} flushed messages, {redrives:,} "
+        f"re-driven requests, {strays:,} strays absorbed"
+    )
 
 
 def _cmd_ledger(args) -> int:
@@ -495,6 +499,7 @@ def _cmd_ledger(args) -> int:
         f"(coordinator-crash seeds: {coord}, participant-crash "
         f"seeds: {part})"
     )
+    print(_crash_totals(results))
     bad_seeds = [
         r.seed for r in results if not r.ok or r.recoveries < 1
     ]

@@ -21,7 +21,9 @@ The CM is modelled as a single server: protocol actions queue and are
 serviced one at a time with per-action cycle costs (Table 3-1 for the
 delayed operations).  That serialisation is what makes a heavily-shared
 queue page a bandwidth bottleneck, a behaviour both evaluation
-applications of the paper are built around.
+applications of the paper are built around.  Like the paper's machine,
+this CM assumes no node ever fails; crash tolerance is the subclass
+:class:`repro.core.crash.CrashTolerantCM`.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ _RMW_RESP = MsgKind.RMW_RESP
 _PAGE_COPY_DATA = MsgKind.PAGE_COPY_DATA
 _TLB_SHOOTDOWN_ACK = MsgKind.TLB_SHOOTDOWN_ACK
 _NET_ACK = MsgKind.NET_ACK
-_QUEUE = OpCode.QUEUE
 
 
 class CoherenceManager:
@@ -129,34 +130,6 @@ class CoherenceManager:
         #: a fault plan.  None on the lossless fast path.
         self._reliable: Optional[ReliableChannels] = None
 
-        #: Crash tolerance, armed by the machine only when the fault
-        #: plan can take nodes down.  ``_crash_gen`` voids scheduled
-        #: service-queue work from before a crash; ``_crashable`` gates
-        #: every tolerance path so crash-free runs execute byte-identical
-        #: code (strict ProtocolErrors stay strict).
-        self._crashable = False
-        self._crash_gen = 0
-        #: True while this node is crashed: the fabric keeps delivering
-        #: in-flight messages, and a dead node must stay silent.
-        self.down = False
-        #: ``(dead_node, dead_ppage) -> CopyList`` resolver installed by
-        #: the machine's crash driver, used to re-route flushed chain
-        #: traffic along the repaired copy-list.
-        self.crash_route: Optional[Callable[[int, int], object]] = None
-        #: Messages handed back by the reliable layer after a peer died.
-        self.crash_flushes = 0
-        #: Stray post-crash acks/responses absorbed instead of raised.
-        self.crash_strays = 0
-        #: Requests of ours still awaiting a protocol-level response,
-        #: ``xid -> (kind, dst, addr, op, value)`` — only maintained on
-        #: crashable plans.  The reliable layer retransmits a request the
-        #: peer never wire-acked, but one acked *just* before the peer
-        #: crashed leaves nothing to retransmit and no response will ever
-        #: come; :meth:`on_peer_restart` re-drives these.
-        self._remote_reqs: Dict[int, Tuple] = {}
-        #: Acked-but-swallowed requests re-driven after a peer restart.
-        self.crash_redrives = 0
-
         #: Handler per message kind, list-indexed by ``MsgKind.idx``
         #: (dispatch is per-message; an enum-keyed dict would hash, an
         #: if/elif chain would compare up to 13 identities).
@@ -170,9 +143,9 @@ class CoherenceManager:
             self._receive_rmw_req,    # RMW_REQ
             self._on_rmw_resp,        # RMW_RESP
             self._on_page_copy_req,   # PAGE_COPY_REQ
-            self._on_page_copy_data,  # PAGE_COPY_DATA
+            self._on_transfer_reply,  # PAGE_COPY_DATA
             self._on_tlb_shootdown,   # TLB_SHOOTDOWN
-            self._on_shootdown_ack,   # TLB_SHOOTDOWN_ACK
+            self._on_transfer_reply,  # TLB_SHOOTDOWN_ACK
             self._on_unroutable,      # NET_ACK (recovery layer only)
         ]
         #: Table 3-1 op costs as a dense list (``op_cycles[op.idx]``).
@@ -223,364 +196,9 @@ class CoherenceManager:
         return [] if self._reliable is None else self._reliable.describe()
 
     # ------------------------------------------------------------------
-    # Node crash / restart (fault plans with crash schedules only).
-    # ------------------------------------------------------------------
-    def enable_crashes(self) -> None:
-        """Arm crash tolerance: stray post-crash acks and responses are
-        absorbed (and counted) instead of raised as protocol errors, and
-        scheduled service work is voided across a crash.  Never armed on
-        crash-free plans, so their strict checking is untouched."""
-        self._crashable = True
-
-    def on_crash(self) -> None:
-        """Atomically discard every piece of volatile CM state.
-
-        The pending-writes cache, delayed-operations cache, service
-        queue, read waiters, RMW chains, invalidation bookkeeping and
-        live-copy transfer state all die with the node; parked
-        continuations of killed threads are dropped with the objects
-        that held them.  The transaction-id counter is *not* reset so a
-        restarted node never reuses an xid that a late in-flight
-        response might still name.
-        """
-        self._crash_gen += 1
-        self._busy_until = 0
-        self.pending = PendingWrites(
-            self.params.pending_writes_capacity, xids=self.pending._xids
-        )
-        self.delayed = DelayedOpsCache(self.node_id, self.params.delayed_slots)
-        self._read_waiters.clear()
-        self._rmw_tokens.clear()
-        self._rmw_chains = 0
-        self._chain_waiters = WaitQueue("rmw-chains")
-        self._invalid_words.clear()
-        self._inval_gen.clear()
-        self._copy_filters.clear()
-        self._copy_handlers.clear()
-        self._remote_reqs.clear()
-        if self._reliable is not None:
-            self._reliable.on_crash()
-
-    def on_restart(self) -> None:
-        """Come back up as a new incarnation (epoch bump)."""
-        if self._reliable is not None:
-            self._reliable.on_restart()
-
-    def on_promoted_master(self, page: int) -> None:
-        """Crash repair promoted our copy of ``page`` to master.
-
-        Whatever this copy holds is now the authoritative data — the
-        old master died under ``"scrub"`` durability, so any words we
-        had marked stale can never be refetched.  The marks are cleared
-        by fiat; generations are bumped so an in-flight refetch against
-        the dead master cannot revalidate over the now-authoritative
-        copy.
-        """
-        invalid = self._invalid_words.pop(page, None)
-        if invalid:
-            gen = self._inval_gen
-            for offset in invalid:
-                key = (page, offset)
-                gen[key] = gen.get(key, 0) + 1
-
-    def on_reliable_flush(self, msg: Message) -> None:
-        """Resolve one unacked message whose destination crashed.
-
-        Called by the reliable layer when it learns (via the epoch
-        handshake) that the peer it was retransmitting to died and
-        restarted.  The message will never be acknowledged by the dead
-        incarnation, but a blocked originator is waiting on it, so it
-        must complete *somehow*:
-
-        * UPDATE / INVALIDATE — mid-chain propagation into the dead
-          node.  The copy-list was repaired at crash time, so consult
-          the rebuilt tables: re-forward along the new chain if one
-          exists, else the chain ends here.
-        * WRITE_REQ — re-forward to the re-elected master if there is
-          one.  When the master still lives on the crashed node, the
-          write is *not* lost: a flush only ever fires on learning the
-          peer's new epoch, i.e. its restarted incarnation is alive and
-          (page tables survive a crash) still authoritative — re-send
-          there.  Plain writes are idempotent, so a request the dead
-          incarnation applied but never acked is safely re-applied.
-        * RMW_REQ — never re-executed (the dead master may have already
-          applied it pre-crash); instead a per-op *failure* value is
-          fabricated (queue full / queue empty / lock held / 0) so the
-          application's retry loop runs.
-        * READ_REQ — re-read from a surviving copy when one exists,
-          else from the restarted incarnation itself (under ``scrub``
-          it answers with the zeroed frame, which poll loops treat as
-          not-ready).
-        * Responses (READ_RESP, WRITE_ACK, RMW_RESP) — re-sent against
-          the peer's live incarnation: a chain that reached this node
-          via a third party can answer a *new*-incarnation transaction
-          while our believed epoch was still stale.  Genuinely dead
-          answers are absorbed at the receiver as crash strays.
-        * Page-copy data and shootdown traffic — dropped; the transfer
-          died with the node.
-        """
-        self.crash_flushes += 1
-        kind = msg.kind
-        dead = msg.dst
-        route = self.crash_route
-        clist = None
-        if route is not None and msg.addr is not None:
-            clist = route(dead, msg.addr.page)
-        if kind is _UPDATE or kind is _INVALIDATE:
-            nxt = None
-            if clist is not None:
-                mine = clist.copy_on(self.node_id)
-                if mine is not None and self.tables.knows(mine.page):
-                    nxt = self.tables.next_of(mine.page)
-            if nxt is not None and nxt.node != dead:
-                self._emit(
-                    kind,
-                    nxt.node,
-                    nxt.word(msg.writes[0][0]),
-                    0,
-                    msg.op,
-                    0,
-                    msg.origin,
-                    msg.xid,
-                    msg.writes,
-                )
-            else:
-                self._complete_chain(msg.origin, msg.xid, msg.op)
-        elif kind is _WRITE_REQ:
-            master = clist.master if clist is not None else None
-            offset = msg.addr.offset
-            if master is not None and master.node == self.node_id:
-                # Master re-elected to this very node while the request
-                # was in flight: apply locally.
-                self._work(
-                    self.params.cm_write_cycles,
-                    partial(
-                        self._apply_at_master,
-                        master.page,
-                        [(offset, msg.value)],
-                        msg.origin,
-                        msg.xid,
-                        None,
-                    ),
-                )
-            elif master is not None and master.node != dead:
-                self._emit(
-                    _WRITE_REQ,
-                    master.node,
-                    master.word(offset),
-                    msg.value,
-                    None,
-                    0,
-                    msg.origin,
-                    msg.xid,
-                )
-            else:
-                # Mastership stayed on the crashed node (or repair never
-                # touched the page).  Its restarted incarnation is alive
-                # — that is what triggered this flush — so the original
-                # request simply continues against it.
-                self._emit(
-                    _WRITE_REQ,
-                    dead,
-                    msg.addr,
-                    msg.value,
-                    None,
-                    0,
-                    msg.origin,
-                    msg.xid,
-                )
-        elif kind is _RMW_REQ:
-            value = self._fabricated_rmw_failure(msg.op)
-            if msg.origin == self.node_id:
-                self._deliver_rmw_result(msg.xid, value, True)
-            else:
-                self._emit(
-                    _RMW_RESP,
-                    msg.origin,
-                    None,
-                    value,
-                    msg.op,
-                    0,
-                    -1,
-                    msg.xid,
-                    None,
-                    True,
-                )
-        elif kind is _READ_REQ:
-            target = None
-            if clist is not None:
-                master = clist.master
-                if master.node != dead:
-                    target = master
-                else:
-                    for copy in clist.copies:
-                        if copy.node != dead:
-                            target = copy
-                            break
-            if target is not None and target.node != self.node_id:
-                self._emit(
-                    _READ_REQ,
-                    target.node,
-                    target.word(msg.addr.offset),
-                    0,
-                    None,
-                    0,
-                    msg.origin,
-                    msg.xid,
-                )
-            elif target is not None:
-                # The surviving copy is local: serve it directly.
-                value = self.memory.read(target.page, msg.addr.offset)
-                self._finish_read(msg.origin, msg.xid, value)
-            else:
-                # No surviving copy elsewhere: read from the restarted
-                # incarnation (alive by construction of the flush).
-                self._emit(
-                    _READ_REQ,
-                    dead,
-                    msg.addr,
-                    0,
-                    None,
-                    0,
-                    msg.origin,
-                    msg.xid,
-                )
-        elif kind in (
-            _WRITE_ACK,
-            _READ_RESP,
-            _RMW_RESP,
-        ):
-            # A flushed *response* is not necessarily answering a dead
-            # transaction: when a chain reached this node via a third
-            # party, our believed epoch for the originator can be stale
-            # even though the transaction belongs to the peer's live
-            # incarnation (which dropped our old-epoch send and
-            # advertised its new epoch — that is what triggered this
-            # flush).  Re-send against the live incarnation; an answer
-            # to a transaction that truly died with the old one is
-            # absorbed at the receiver as a crash stray.
-            self._emit(
-                kind,
-                dead,
-                None,
-                msg.value,
-                msg.op,
-                0,
-                -1,
-                msg.xid,
-                None,
-                msg.chain_done,
-            )
-        # Anything else (page-copy data, shootdown traffic) is simply
-        # dropped: the transfer it belonged to died with the node.
-
-    def on_peer_restart(self, peer: int) -> None:
-        """Re-drive requests a restarted ``peer`` acked but never served.
-
-        The reliable layer's flush covers messages the dead incarnation
-        never wire-acknowledged.  This hook covers the complementary
-        window: a request that reached the peer and was acked in the
-        cycle or two before the crash, whose protocol action (and
-        response) died with the volatile state — the sender has nothing
-        left to retransmit, so without this the originator blocks
-        forever.  Reads and writes are idempotent and simply re-sent to
-        the live incarnation; an RMW may have been applied pre-crash, so
-        — exactly like the flush path — a per-op failure is fabricated
-        and the application's retry loop runs.
-        """
-        if not self._crashable or not self._remote_reqs:
-            return
-        stuck = [
-            (xid, rec)
-            for xid, rec in self._remote_reqs.items()
-            if rec[1] == peer
-        ]
-        for xid, (kind, dst, addr, op, value) in stuck:
-            if kind is _READ_REQ:
-                if xid not in self._read_waiters:
-                    self._remote_reqs.pop(xid, None)
-                    continue
-                self.crash_redrives += 1
-                self._emit(
-                    _READ_REQ, dst, addr, 0, None, 0, self.node_id, xid
-                )
-            elif kind is _RMW_REQ:
-                self._remote_reqs.pop(xid, None)
-                if xid in self._rmw_tokens:
-                    self.crash_redrives += 1
-                    self._deliver_rmw_result(
-                        xid, self._fabricated_rmw_failure(op), True
-                    )
-            else:  # WRITE_REQ
-                if not self.pending.knows(xid):
-                    self._remote_reqs.pop(xid, None)
-                    continue
-                self.crash_redrives += 1
-                self._emit(
-                    _WRITE_REQ,
-                    dst,
-                    addr,
-                    value,
-                    None,
-                    0,
-                    self.node_id,
-                    xid,
-                )
-
-    def _master_of_tolerant(self, page: int) -> Optional[PhysPage]:
-        """Master-table lookup tolerating crash-dropped local pages.
-
-        A peer routing with a pre-crash mapping can land a request on a
-        page this node no longer holds — its copy was dropped, or its
-        mastership promoted away, by crash repair.  Consult the repaired
-        copy-list recorded at crash time: the master may now live on
-        another node (forward there) or nowhere useful (None — the
-        caller completes the request best-effort).  Crash-free runs
-        take the strict raising lookup untouched.
-        """
-        if self._crashable and not self.tables.knows(page):
-            route = self.crash_route
-            clist = route(self.node_id, page) if route is not None else None
-            if clist is not None and len(clist):
-                master = clist.master
-                if master.node != self.node_id:
-                    return master
-            return None
-        return self.tables.master_of(page)
-
-    def _finish_read(self, origin: int, xid: int, value: int) -> None:
-        if origin == self.node_id:
-            waiter = self._read_waiters.pop(xid, None)
-            if waiter is not None:
-                self._remote_reqs.pop(xid, None)
-                waiter(value)
-        else:
-            self._emit(
-                _READ_RESP, origin, None, value, None, 0, -1, xid
-            )
-
-    @staticmethod
-    def _fabricated_rmw_failure(op: Optional[OpCode]) -> int:
-        """The safe "try again" value for an RMW lost to a crash.
-
-        Chosen per op so the conventional retry idiom fires: a queue
-        insert sees FULL (top bit set in the old tail), a dequeue sees
-        empty (top bit clear), a cond-xchng sees lock-held (top bit
-        clear means no store happened), and plain reads/fetches see 0.
-        """
-        if op is _QUEUE:
-            return 1 << 31
-        return 0
-
-    # ------------------------------------------------------------------
     # CM service queue: one protocol action at a time.
     # ------------------------------------------------------------------
     def _work(self, cycles: int, fn: Callback) -> None:
-        if self._crashable:
-            # Scheduled service-queue work must not touch state cleared
-            # by a crash: void the completion if the node died (and was
-            # possibly restarted) between scheduling and execution.
-            fn = partial(self._unless_crashed, self._crash_gen, fn)
         engine = self.engine
         now = engine._now
         busy = self._busy_until
@@ -595,10 +213,6 @@ class CoherenceManager:
             engine._near += 1
         else:
             engine.at(until, fn)
-
-    def _unless_crashed(self, gen: int, fn: Callback) -> None:
-        if self._crash_gen == gen:
-            fn()
 
     def _emit(
         self,
@@ -675,8 +289,8 @@ class CoherenceManager:
         """
         self.pending.when_clear(addr, fn)
 
-    def cpu_read_remote(self, addr: PhysAddr, on_value: ValueCallback) -> None:
-        """Blocking read of a word on another node.
+    def cpu_read_remote(self, addr: PhysAddr, on_value: ValueCallback) -> int:
+        """Blocking read of a word on another node; returns its xid.
 
         ``on_value`` fires when the response arrives; the fixed overhead
         (request formation + remote service) is the paper's ~32 cycles on
@@ -691,10 +305,6 @@ class CoherenceManager:
         self.counters.remote_reads += 1
         xid = next(self._xids)
         self._read_waiters[xid] = on_value
-        if self._crashable:
-            self._remote_reqs[xid] = (
-                _READ_REQ, addr.node, addr, None, 0
-            )
         self._work(
             self.params.cm_request_cycles,
             partial(
@@ -709,6 +319,7 @@ class CoherenceManager:
                 xid,
             ),
         )
+        return xid
 
     def cpu_write(
         self, addr: PhysAddr, value: int, on_accepted: Callback
@@ -808,13 +419,13 @@ class CoherenceManager:
     # ------------------------------------------------------------------
     # Write path.
     # ------------------------------------------------------------------
-    def _route_write(self, addr: PhysAddr, value: int, xid: int) -> None:
+    def _route_write(
+        self, addr: PhysAddr, value: int, xid: int
+    ) -> Optional[PhysAddr]:
+        """Send a buffered write towards its master copy; returns the
+        address the request went to (None when the master is local)."""
         if addr.node != self.node_id:
             self.counters.remote_writes += 1
-            if self._crashable:
-                self._remote_reqs[xid] = (
-                    _WRITE_REQ, addr.node, addr, None, value
-                )
             self._emit(
                 _WRITE_REQ,
                 addr.node,
@@ -825,7 +436,7 @@ class CoherenceManager:
                 self.node_id,
                 xid,
             )
-            return
+            return addr
         master = self.tables.master_of(addr.page)
         if master.node == self.node_id:
             if self.tables.next_of(master.page) is None:
@@ -835,27 +446,14 @@ class CoherenceManager:
             self._apply_at_master(
                 master.page, [(addr.offset, value)], self.node_id, xid, None
             )
-        else:
-            self.counters.remote_writes += 1
-            self.counters.writes_forwarded += 1
-            if self._crashable:
-                self._remote_reqs[xid] = (
-                    _WRITE_REQ,
-                    master.node,
-                    master.word(addr.offset),
-                    None,
-                    value,
-                )
-            self._emit(
-                _WRITE_REQ,
-                master.node,
-                master.word(addr.offset),
-                value,
-                None,
-                0,
-                self.node_id,
-                xid,
-            )
+            return None
+        self.counters.remote_writes += 1
+        self.counters.writes_forwarded += 1
+        target = master.word(addr.offset)
+        self._emit(
+            _WRITE_REQ, master.node, target, value, None, 0, self.node_id, xid
+        )
+        return target
 
     def _apply_at_master(
         self,
@@ -935,31 +533,13 @@ class CoherenceManager:
         origin = msg.origin
         xid = msg.xid
         op = msg.op
-        if self._crashable and not self.tables.knows(page):
-            # As in _apply_update: crash repair dropped this page from
-            # our tables, so the chain ends here.
-            self.fabric.release(msg)
-            self._complete_chain(origin, xid, op)
-            return
-        if self._crashable and self.tables.is_master(page):
-            # Crash repair promoted this copy to master while the
-            # invalidate chain was in flight.  A master is never stale:
-            # apply the chain's data instead of marking it invalid.
-            self._write_words(page, writes)
-        else:
-            invalid = self._invalid_words.setdefault(page, set())
-            gen = self._inval_gen
-            for offset, _value in writes:
-                invalid.add(offset)
-                gen[(page, offset)] = gen.get((page, offset), 0) + 1
-                self.snoop(page, offset, 0)  # drop/refresh the cached line
+        self._invalidate_words(page, writes)
         self.counters.invalidations_applied += 1
         nxt = self.tables.next_of(page)
+        self.fabric.release(msg)
         if nxt is None:
-            self.fabric.release(msg)
             self._complete_chain(origin, xid, op)
         else:
-            self.fabric.release(msg)
             self._emit(
                 _INVALIDATE,
                 nxt.node,
@@ -971,6 +551,17 @@ class CoherenceManager:
                 xid,
                 writes,
             )
+
+    def _invalidate_words(
+        self, page: int, writes: List[Tuple[int, int]]
+    ) -> None:
+        """Mark one invalidate message's words stale in a local copy."""
+        invalid = self._invalid_words.setdefault(page, set())
+        gen = self._inval_gen
+        for offset, _value in writes:
+            invalid.add(offset)
+            gen[(page, offset)] = gen.get((page, offset), 0) + 1
+            self.snoop(page, offset, 0)  # drop/refresh the cached line
 
     def cpu_refetch(self, addr: PhysAddr, on_value: ValueCallback) -> None:
         """Re-fetch a locally-invalid word from its master copy, then
@@ -1020,23 +611,12 @@ class CoherenceManager:
 
     def _ack_local(self, xid: int, op: Optional[OpCode]) -> None:
         if op is None:
-            if self._crashable:
-                self._remote_reqs.pop(xid, None)
-                if not self.pending.knows(xid):
-                    # A node that died mid-chain can yield both a flushed
-                    # local completion and a late WRITE_ACK for the same
-                    # transaction; the second one is absorbed.
-                    self.crash_strays += 1
-                    return
             self.pending.complete(xid)
         else:
             self._retire_chain()
 
     def _retire_chain(self) -> None:
         if self._rmw_chains <= 0:
-            if self._crashable:
-                self.crash_strays += 1
-                return
             raise ProtocolError(
                 "RMW chain underflow",
                 cycle=self.engine.now,
@@ -1051,13 +631,11 @@ class CoherenceManager:
     # ------------------------------------------------------------------
     def _route_rmw(
         self, op: OpCode, addr: PhysAddr, operand: int, xid: int
-    ) -> None:
+    ) -> Optional[PhysAddr]:
+        """Send a delayed operation towards its master copy; returns the
+        address the request went to (None when the master is local)."""
         if addr.node != self.node_id:
             self.counters.rmw_remote += 1
-            if self._crashable:
-                self._remote_reqs[xid] = (
-                    _RMW_REQ, addr.node, addr, op, operand
-                )
             self._emit(
                 _RMW_REQ,
                 addr.node,
@@ -1068,7 +646,7 @@ class CoherenceManager:
                 self.node_id,
                 xid,
             )
-            return
+            return addr
         master = self.tables.master_of(addr.page)
         if master.node == self.node_id:
             if self.tables.next_of(master.page) is None:
@@ -1086,26 +664,13 @@ class CoherenceManager:
                     xid,
                 ),
             )
-        else:
-            self.counters.rmw_remote += 1
-            if self._crashable:
-                self._remote_reqs[xid] = (
-                    _RMW_REQ,
-                    master.node,
-                    master.word(addr.offset),
-                    op,
-                    operand,
-                )
-            self._emit(
-                _RMW_REQ,
-                master.node,
-                master.word(addr.offset),
-                0,
-                op,
-                operand,
-                self.node_id,
-                xid,
-            )
+            return None
+        self.counters.rmw_remote += 1
+        target = master.word(addr.offset)
+        self._emit(
+            _RMW_REQ, master.node, target, 0, op, operand, self.node_id, xid
+        )
+        return target
 
     def _execute_rmw(
         self, op: OpCode, addr: PhysAddr, operand: int, origin: int, xid: int
@@ -1118,22 +683,7 @@ class CoherenceManager:
                 cycle=self.engine.now,
                 node=self.node_id,
             )
-        try:
-            outcome = execute_op(
-                op,
-                addr.offset,
-                operand,
-                read=self.memory.words_of(page).__getitem__,
-                page_words=self.params.page_words,
-                ring_base=self.params.queue_ring_base,
-            )
-        except ProtocolError:
-            if not self._crashable:
-                raise
-            # A scrub restart (or a promoted survivor) can leave a
-            # queue control word corrupted; the op fails so the
-            # issuer's retry loop runs instead of the machine dying.
-            outcome = OpOutcome(returned=self._fabricated_rmw_failure(op))
+        outcome = self._run_op(op, page, addr.offset, operand)
         chain_done = True
         if outcome.writes:
             self._write_words(page, outcome.writes)
@@ -1168,19 +718,24 @@ class CoherenceManager:
                 chain_done,
             )
 
+    def _run_op(
+        self, op: OpCode, page: int, offset: int, operand: int
+    ) -> OpOutcome:
+        """Execute ``op`` on the local master page (no side effects)."""
+        return execute_op(
+            op,
+            offset,
+            operand,
+            read=self.memory.words_of(page).__getitem__,
+            page_words=self.params.page_words,
+            ring_base=self.params.queue_ring_base,
+        )
+
     def _deliver_rmw_result(
         self, xid: int, value: int, chain_done: bool
     ) -> None:
         token = self._rmw_tokens.pop(xid, None)
-        if self._crashable:
-            self._remote_reqs.pop(xid, None)
         if token is None:
-            if self._crashable:
-                # Late response for an operation a crash already
-                # resolved (flush-fabricated failure), or one issued by
-                # a thread that died with the node.
-                self.crash_strays += 1
-                return
             raise ProtocolError(
                 f"RMW response for unknown xid {xid}",
                 cycle=self.engine.now,
@@ -1244,13 +799,6 @@ class CoherenceManager:
         sent while reliability is armed, but a guard beats silent
         misordering) and the entire disarmed fast path dispatch directly.
         """
-        if self.down:
-            # The node is crashed: whatever the wire still delivers hits
-            # a powered-off port.  (This path only exists when a fault
-            # plan is installed — ``receive`` is bound in place of
-            # ``dispatch`` by ``enable_reliability``.)
-            self.fabric.stats.drops += 1
-            return
         reliable = self._reliable
         if reliable is not None:
             if msg.kind is _NET_ACK:
@@ -1278,13 +826,7 @@ class CoherenceManager:
 
     def _on_read_resp(self, msg: Message) -> None:
         waiter = self._read_waiters.pop(msg.xid, None)
-        if self._crashable:
-            self._remote_reqs.pop(msg.xid, None)
         if waiter is None:
-            if self._crashable:
-                self.crash_strays += 1
-                self.fabric.release(msg)
-                return
             raise ProtocolError(
                 f"read response for unknown xid {msg.xid}",
                 cycle=self.engine.now,
@@ -1324,15 +866,13 @@ class CoherenceManager:
             self.params.cm_service_cycles, partial(self._serve_page_copy, msg)
         )
 
-    def _on_page_copy_data(self, msg: Message) -> None:
+    def _on_transfer_reply(self, msg: Message) -> None:
+        """PAGE_COPY_DATA or TLB_SHOOTDOWN_ACK: hand it to the handler
+        its replication transfer registered."""
         handler = self._copy_handlers.get(msg.xid)
         if handler is None:
-            if self._crashable:
-                self.crash_strays += 1
-                self.fabric.release(msg)
-                return
             raise ProtocolError(
-                f"page-copy data for unknown transfer {msg.xid}",
+                f"{msg.kind.value} for unknown transfer {msg.xid}",
                 cycle=self.engine.now,
                 node=self.node_id,
                 msg=msg,
@@ -1345,21 +885,6 @@ class CoherenceManager:
             partial(self._serve_shootdown, msg),
         )
 
-    def _on_shootdown_ack(self, msg: Message) -> None:
-        handler = self._copy_handlers.get(msg.xid)
-        if handler is None:
-            if self._crashable:
-                self.crash_strays += 1
-                self.fabric.release(msg)
-                return
-            raise ProtocolError(
-                f"shootdown ack for unknown transaction {msg.xid}",
-                cycle=self.engine.now,
-                node=self.node_id,
-                msg=msg,
-            )
-        handler(msg)
-
     def _on_unroutable(self, msg: Message) -> None:
         raise ProtocolError(
             f"unhandled message kind {msg.kind}",
@@ -1371,47 +896,10 @@ class CoherenceManager:
     def _serve_read(self, msg: Message) -> None:
         addr = msg.addr
         assert addr is not None
-        origin = msg.origin
-        xid = msg.xid
-        if self._crashable and not self.tables.knows(addr.page):
-            # Crash repair freed this frame; route to the repaired
-            # master, or answer 0 (poll loops retry) if none survives.
-            master = self._master_of_tolerant(addr.page)
-            self.fabric.release(msg)
-            if master is None:
-                self._finish_read(origin, xid, 0)
-            else:
-                self._emit(
-                    _READ_REQ,
-                    master.node,
-                    master.word(addr.offset),
-                    0,
-                    None,
-                    0,
-                    origin,
-                    xid,
-                )
-            return
         if not self.word_valid(addr):
             # Invalidate-protocol variant: this copy's word is stale, so
             # the request is forwarded to the master (always valid).
-            master = self._master_of_tolerant(addr.page)
-            self.fabric.release(msg)
-            if master is None:
-                # The page died in a crash; poll loops treat 0 as
-                # not-ready and retry against the repaired mapping.
-                self._finish_read(origin, xid, 0)
-                return
-            self._emit(
-                _READ_REQ,
-                master.node,
-                master.word(addr.offset),
-                0,
-                None,
-                0,
-                origin,
-                xid,
-            )
+            self._forward_read(msg)
             return
         try:
             value = self.memory.read(addr.page, addr.offset)
@@ -1420,44 +908,51 @@ class CoherenceManager:
             # the drain window (congested large machines).  The deleted
             # copy's table entry survives as a forwarding tombstone —
             # chase it to a live copy.
-            master = self._master_of_tolerant(addr.page)
-            self.fabric.release(msg)
-            if master is None:
-                self._finish_read(origin, xid, 0)
-                return
-            self._emit(
-                _READ_REQ,
-                master.node,
-                master.word(addr.offset),
-                0,
-                None,
-                0,
-                origin,
-                xid,
-            )
+            self._forward_read(msg)
             return
+        origin = msg.origin
+        xid = msg.xid
         self.fabric.release(msg)
         # _finish_read, not a bare send: a request forwarded by a
         # deleted copy's tombstone can land back on the origin itself
         # (page migrated home), where the response completes locally.
         self._finish_read(origin, xid, value)
 
+    def _forward_read(self, msg: Message) -> None:
+        """Pass a read request on to its page's master copy."""
+        addr = msg.addr
+        master = self._master_of(addr.page)
+        origin = msg.origin
+        xid = msg.xid
+        self.fabric.release(msg)
+        self._emit(
+            _READ_REQ, master.node, master.word(addr.offset), 0, None, 0,
+            origin, xid,
+        )
+
+    def _finish_read(self, origin: int, xid: int, value: int) -> None:
+        if origin == self.node_id:
+            waiter = self._read_waiters.pop(xid, None)
+            if waiter is not None:
+                waiter(value)
+        else:
+            self._emit(
+                _READ_RESP, origin, None, value, None, 0, -1, xid
+            )
+
+    def _master_of(self, page: int) -> PhysPage:
+        """The master copy of local page ``page`` (request routing)."""
+        return self.tables.master_of(page)
+
     def _receive_write_req(self, msg: Message) -> None:
         addr = msg.addr
         assert addr is not None
-        master = self._master_of_tolerant(addr.page)
+        master = self._master_of(addr.page)
         offset = addr.offset
         value = msg.value
         origin = msg.origin
         xid = msg.xid
         self.fabric.release(msg)
-        if master is None:
-            # Crash repair dropped this page and left no master to
-            # forward to: the write's target words died with the crash.
-            # Complete the chain best-effort so the originator's
-            # pending-writes entry (and any fence behind it) clears.
-            self._complete_chain(origin, xid, None)
-            return
         if master.node == self.node_id:
             self._work(
                 self.params.cm_write_cycles,
@@ -1491,33 +986,12 @@ class CoherenceManager:
         addr = msg.addr
         op = msg.op
         assert addr is not None and op is not None
-        master = self._master_of_tolerant(addr.page)
+        master = self._master_of(addr.page)
         offset = addr.offset
         operand = msg.operand
         origin = msg.origin
         xid = msg.xid
         self.fabric.release(msg)
-        if master is None:
-            # No master anywhere after crash repair: fabricate the
-            # per-op failure so the issuer's retry loop runs (exactly
-            # the reliable-flush treatment of an RMW lost to a crash).
-            value = self._fabricated_rmw_failure(op)
-            if origin == self.node_id:
-                self._deliver_rmw_result(xid, value, True)
-            else:
-                self._emit(
-                    _RMW_RESP,
-                    origin,
-                    None,
-                    value,
-                    op,
-                    0,
-                    -1,
-                    xid,
-                    None,
-                    True,
-                )
-            return
         if master.node == self.node_id:
             self._work(
                 self._op_cycles[op.idx],
@@ -1554,15 +1028,6 @@ class CoherenceManager:
         origin = msg.origin
         xid = msg.xid
         op = msg.op
-        if self._crashable and not self.tables.knows(page):
-            # Pre-crash routing delivered a chain hop for a page this
-            # node no longer holds (dropped by crash repair).  The
-            # repaired chain bypasses us; end the chain here so the
-            # originator is released (a duplicate completion from the
-            # re-routed chain is waived by the monitor's crash leniency).
-            self.fabric.release(msg)
-            self._complete_chain(origin, xid, op)
-            return
         try:
             self._write_words(page, writes)
             self.counters.updates_applied += 1
@@ -1574,13 +1039,12 @@ class CoherenceManager:
             # the forwarding step using the tombstone next pointer.
             pass
         nxt = self.tables.next_of(page)
+        self.fabric.release(msg)
         if nxt is None:
-            self.fabric.release(msg)
             self._complete_chain(origin, xid, op)
         else:
             # The forwarded message reuses the writes list (rebound, never
             # mutated, so sharing it down the chain is safe).
-            self.fabric.release(msg)
             self._emit(
                 _UPDATE,
                 nxt.node,

@@ -53,9 +53,9 @@ resurrecting pre-crash state:
   the new stream — but still acks, advertising its new epoch.
 * A sender seeing a *higher* acker epoch (or a higher sender epoch on
   any inbound message) flushes its unacked queue for that peer — each
-  flushed message is handed to the coherence manager's
-  ``on_reliable_flush`` so blocked originators are unstuck — and
-  restarts the out-channel at sequence 0 against the new incarnation.
+  flushed message is handed to the crash-tolerant coherence manager's
+  ``CrashTolerantCM.on_reliable_flush`` so blocked originators are
+  unstuck — and restarts the out-channel at sequence 0.
 
 On a machine where no node ever crashes every epoch is 0, every stamp
 packs to 0, and none of the comparisons fire: the wire format and
@@ -231,10 +231,9 @@ class ReliableChannels:
         """React to evidence that ``dst`` is now at ``peer_epoch``.
 
         A higher epoch means the peer crashed and restarted: everything
-        queued for the dead incarnation is flushed (handed to the
-        coherence manager's ``on_reliable_flush`` so blocked originators
-        are resolved) and the out-channel re-handshakes from sequence 0
-        against the new incarnation.
+        queued for the dead incarnation goes to ``CrashTolerantCM``'s
+        ``on_reliable_flush`` (and ``on_peer_restart`` re-drives what it
+        acked) and the out-channel re-handshakes from sequence 0.
         """
         ch = self._out.get(dst)
         if ch is None:
@@ -262,7 +261,7 @@ class ReliableChannels:
         # Complementary hole: requests the dead incarnation *did* ack at
         # the wire but crashed before acting on.  Nothing is left
         # unacked for those, yet their responses will never come — the
-        # CM re-drives them against the live incarnation.
+        # crash-tolerant CM re-drives them against the live incarnation.
         self.cm.on_peer_restart(dst)
 
     def on_net_ack(self, msg: Message) -> None:

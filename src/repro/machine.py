@@ -148,7 +148,8 @@ class PlusMachine:
         for node in self.nodes:
             node.cm.enable_reliability()
         if plan.has_crashes:
-            self._arm_crashes(plan)
+            self._arm_crashes()
+            self._schedule_crashes(plan)
         monitor = self.invariant_monitor
         if monitor is not None:
             monitor.fault_plan = plan
@@ -157,11 +158,18 @@ class PlusMachine:
     # ------------------------------------------------------------------
     # Node crash / restart.
     # ------------------------------------------------------------------
-    def _arm_crashes(self, plan: FaultPlan) -> None:
-        """Schedule the plan's crash windows and arm crash tolerance."""
+    def _arm_crashes(self) -> None:
+        """Make every node's CM a :class:`~repro.core.crash.CrashTolerantCM`
+        (the one place that happens; idempotent, and before traffic on a
+        faulty mesh).  Crash-free machines keep the paper's CM."""
+        from repro.core.crash import CrashTolerantCM
+
         for node in self.nodes:
-            node.cm.enable_crashes()
-            node.cm.crash_route = self._crash_route
+            if not isinstance(node.cm, CrashTolerantCM):
+                CrashTolerantCM.adopt(node.cm, self._crash_route)
+
+    def _schedule_crashes(self, plan: FaultPlan) -> None:
+        """Schedule the plan's targeted and seeded crash windows."""
         engine = self.engine
         for node_id, at, down in plan.crashes:
             if not 0 <= node_id < self.n_nodes:
@@ -246,10 +254,12 @@ class PlusMachine:
         the down window (a ``durability="scrub"`` plan zeroes them at
         restart).  Copy-lists naming the node are repaired immediately —
         the OS's global page directory observes the failure — so
-        surviving nodes route around the corpse.
+        surviving nodes route around the corpse.  A machine whose plan
+        scheduled no crash is armed here (before traffic, if faulty).
         """
         if node_id in self._down:
             raise ConfigError(f"node {node_id} is already down")
+        self._arm_crashes()
         node = self.nodes[node_id]
         now = self.engine.now
         self._down.add(node_id)
@@ -267,7 +277,6 @@ class PlusMachine:
                 )
         node.cpu.kill_all()
         node.cm.on_crash()
-        node.cm.down = True
         node.cache.flush()
         for other in self.nodes:
             if other.node_id != node_id and other.cm.reliable is not None:
@@ -285,7 +294,6 @@ class PlusMachine:
             return
         node = self.nodes[node_id]
         self._down.discard(node_id)
-        node.cm.down = False
         node.cm.on_restart()
         now = self.engine.now
         self.crash_log.append(

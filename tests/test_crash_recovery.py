@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.check.oracle import check_conservation
 from repro.check.stress import StressConfig, run_stress
+from repro.core.coherence import CoherenceManager
+from repro.core.crash import CrashTolerantCM
 from repro.core.params import OpCode, TimingParams
 from repro.errors import (
     CoherenceViolation,
@@ -361,10 +363,10 @@ def _traced_run(seed, arm_crash_machinery):
     trace = ProtocolTrace().install(machine)
     machine.install_faults(FaultPlan(seed, drop_prob=0.05, dup_prob=0.05))
     if arm_crash_machinery:
-        # What a crash-capable plan arms, minus any actual crash.
-        for node in machine.nodes:
-            node.cm.enable_crashes()
-            node.cm.crash_route = machine._crash_route
+        # What a crash-capable plan arms, minus the crash schedule.
+        machine._arm_crashes()
+    expected = CrashTolerantCM if arm_crash_machinery else CoherenceManager
+    assert {type(node.cm) for node in machine.nodes} == {expected}
     rng = random.Random(seed)
     segs = [machine.shm.alloc(4, home=n) for n in range(4)]
 
@@ -391,6 +393,24 @@ def _traced_run(seed, arm_crash_machinery):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_crash_machinery_is_inert_without_crashes(seed):
     assert _traced_run(seed, False) == _traced_run(seed, True)
+
+
+@pytest.mark.parametrize(
+    "plan, tolerant",
+    [
+        (None, False),
+        (FaultPlan(1, drop_prob=0.05), False),
+        (FaultPlan(1, crashes=[(1, 10**9, 1)]), True),
+        (FaultPlan(1, crash_rate=1e-4, crash_down_cycles=50), True),
+    ],
+    ids=["lossless", "faults", "targeted-crash", "crash-rate"],
+)
+def test_only_a_crash_plan_builds_crash_tolerant_cms(plan, tolerant):
+    machine = PlusMachine(n_nodes=2)
+    if plan is not None:
+        machine.install_faults(plan)
+    expected = CrashTolerantCM if tolerant else CoherenceManager
+    assert [type(node.cm) for node in machine.nodes] == [expected] * 2
 
 
 def test_crash_free_chaos_counters_stay_zero():

@@ -122,6 +122,14 @@ class TestImportClosure:
         op = "workloads.run_stress(workloads.stress_seed(0, 0), faults=True)\n"
         assert modules_after(setup + op, E2E) == modules_after(setup, E2E)
 
+    def test_crash_free_run_loads_no_crash_extension(self):
+        # Only a plan that schedules crashes arms the crash-tolerant CM.
+        loaded = modules_after(
+            "from repro.check.stress import run_stress\n"
+            "run_stress(0, faults=True)\n"
+        )
+        assert "repro.core.crash" not in loaded
+
 
 class TestPackageInits:
     """DESIGN.md, "Cold start": a package ``__init__`` imports nothing

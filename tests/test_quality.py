@@ -105,6 +105,7 @@ PER_EVENT_MODULES = (
     "repro.node.cpu",
     "repro.runtime.thread",
     "repro.core.coherence",
+    "repro.core.crash",
     "repro.core.delayed",
     "repro.core.ops",
     "repro.core.reliable",
@@ -161,6 +162,58 @@ class TestHotPathRules:
         colour = enum.Enum("Colour", "RED BLUE")
         assert _enum_member_loads(source, {"Colour": colour}) == [
             "3: Colour.RED", "3: Colour.BLUE",
+        ]
+
+
+#: Crash-extension names besides those containing "crash" (DESIGN.md
+#: §12): state and hooks of :class:`repro.core.crash.CrashTolerantCM`.
+CRASH_NAMES = {
+    "down", "_remote_reqs", "on_restart", "on_promoted_master",
+    "on_reliable_flush", "on_peer_restart",
+}
+
+
+def _crash_names(source: str) -> list:
+    """Crash-extension names (attributes, variables, arguments and
+    methods) the ``CoherenceManager`` class body in ``source`` uses, as
+    ``"line: name"``."""
+    tree = ast.parse(source)
+    cls = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CoherenceManager"
+    )
+    found = []
+    for node in ast.walk(cls):
+        name = (
+            getattr(node, "attr", None) or getattr(node, "id", None)
+            or getattr(node, "arg", None)
+            or (node.name if isinstance(node, ast.FunctionDef) else None)
+        )
+        if name and ("crash" in name or name in CRASH_NAMES):
+            found.append(f"{node.lineno}: {name}")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+class TestCrashFreeProtocol:
+    """DESIGN.md §12: crash tolerance lives in one subclass, so the
+    paper's coherence manager names none of its state or hooks."""
+
+    def test_base_coherence_manager_names_no_crash_state(self):
+        module = importlib.import_module("repro.core.coherence")
+        assert _crash_names(inspect.getsource(module)) == []
+
+    def test_the_guard_sees_a_crash_branch(self):
+        source = (
+            "class CoherenceManager:\n"
+            "    def receive(self, msg, crash_gen=0):\n"
+            "        if self.down or self._crashable:\n"
+            "            self._remote_reqs.pop(msg.xid)\n"
+            "    def on_crash(self):\n"
+            "        pass\n"
+        )
+        assert _crash_names(source) == [
+            "2: crash_gen", "3: down", "3: _crashable", "4: _remote_reqs",
+            "5: on_crash",
         ]
 
 

@@ -9,6 +9,7 @@ reject rather than queue; a crashed worker is re-dispatched once,
 transparently; shutdown leaves no orphan processes.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -328,13 +329,15 @@ class TestShutdown:
         assert not os.path.exists(path)  # unlinked on shutdown
 
 
-def _run_cli(argv):
+def _run_cli(argv, out=None):
+    """Run the CLI with stdout captured (into ``out`` when given)."""
     import contextlib
     import io
 
     from repro import cli
 
-    out, err = io.StringIO(), io.StringIO()
+    out = io.StringIO() if out is None else out
+    err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue()
@@ -353,6 +356,7 @@ class TestCLI:
         )
         sock_path = str(tmp_path / "cli.sock")
         log_path = str(tmp_path / "serve.log")
+        serve_out = io.StringIO()
         serve = threading.Thread(
             target=_run_cli,
             args=(
@@ -365,13 +369,19 @@ class TestCLI:
                     "--log",
                     log_path,
                 ],
+                serve_out,
             ),
             daemon=True,
         )
         serve.start()
-        for _ in range(100):
-            if os.path.exists(sock_path):
-                break
+        # Wait for serve's banner, not its socket: the banner is printed
+        # after the socket exists, and ``redirect_stdout`` swaps the
+        # process-global ``sys.stdout``, so a submit started in between
+        # would capture the banner instead of its envelope.
+        banner = f"repro serve: listening on unix:{sock_path}\n"
+        deadline = time.monotonic() + 30
+        while banner not in serve_out.getvalue():
+            assert time.monotonic() < deadline, serve_out.getvalue()
             time.sleep(0.05)
         try:
             code, out = _run_cli(
