@@ -107,7 +107,10 @@ class PendingWrites:
         if not self.pending_at(addr):
             fn()
             return
-        self._addr_waiters.setdefault(addr, WaitQueue(f"pending@{addr}")).park(fn)
+        waiters = self._addr_waiters.get(addr)
+        if waiters is None:
+            waiters = self._addr_waiters[addr] = WaitQueue(f"pending@{addr}")
+        waiters.park(fn)
 
     def when_empty(self, fn: Callback) -> None:
         """Run ``fn`` once the cache is empty (fence support)."""

@@ -10,7 +10,6 @@ from repro import _lazy
 
 __all__ = [
     "LocalMemory",
-    "PageFrame",
     "PageTable",
     "PhysAddr",
     "PhysPage",
@@ -20,5 +19,5 @@ __all__ = [
 __getattr__, __dir__ = _lazy.exports(__name__, {
     "address": ["PhysAddr", "PhysPage"],
     "mapping": ["TLB", "PageTable"],
-    "physical": ["LocalMemory", "PageFrame"],
+    "physical": ["LocalMemory"],
 })

@@ -22,6 +22,10 @@ from repro.memory.address import PhysAddr, PhysPage
 #: :class:`MappingError`.  Implemented by the replication manager.
 CentralResolver = Callable[[int, int], PhysPage]
 
+#: Builds a :class:`PhysAddr` from a ready 3-tuple at C speed, skipping
+#: the Python-level ``NamedTuple.__new__`` on the per-request path.
+_new_addr = tuple.__new__
+
 
 class TLB:
     """A small fully-associative LRU translation cache."""
@@ -68,22 +72,6 @@ class PageTable:
         self.faults = 0
         # Hoisted for translate(), which runs once per memory request.
         self._page_words = params.page_words
-        #: vaddr -> PhysAddr memo: addresses are immutable value objects,
-        #: so repeated translations of the same vaddr can share one
-        #: instance instead of re-allocating.  Holds only addresses whose
-        #: vpage mapping is current; any remap flushes it (rare — page
-        #: replication / deletion), mirroring a hardware translation
-        #: cache.  TLB hit/miss accounting is unaffected: the memo is
-        #: consulted *after* the TLB bookkeeping, never instead of it.
-        #: Bounded at ``ADDR_CACHE_LIMIT`` entries (flushed wholesale at
-        #: the cap, like any remap flush): at millions of mapped pages
-        #: an unbounded memo is a leak, and the memo only changes which
-        #: object carries a translation, never its value.
-        self._addr_cache: Dict[int, PhysAddr] = {}
-
-    #: Cap on the vaddr -> PhysAddr memo (identity cache, not a TLB:
-    #: eviction changes no observable translation result or accounting).
-    ADDR_CACHE_LIMIT = 4096
 
     # ------------------------------------------------------------------
     def translate_page(self, vpage: int) -> Tuple[PhysPage, int]:
@@ -119,39 +107,29 @@ class PageTable:
         if phys is not None:
             tlb._map.move_to_end(vpage)
             tlb.hits += 1
-            cache = self._addr_cache
-            addr = cache.get(vaddr)
-            if addr is None:
-                if len(cache) >= self.ADDR_CACHE_LIMIT:
-                    cache.clear()
-                addr = cache[vaddr] = PhysAddr(phys.node, phys.page, offset)
-            return addr, 0
+            return _new_addr(PhysAddr, (phys.node, phys.page, offset)), 0
         tlb.misses += 1
         phys = self._entries.get(vpage)
         if phys is not None:
-            tlb.insert(vpage, phys)
-            return (
-                PhysAddr(phys.node, phys.page, offset),
-                self.params.page_table_walk_cycles,
-            )
-        self.faults += 1
-        phys = self.central(self.node_id, vpage)
-        self._entries[vpage] = phys
+            cycles = self.params.page_table_walk_cycles
+        else:
+            self.faults += 1
+            phys = self.central(self.node_id, vpage)
+            self._entries[vpage] = phys
+            cycles = self.params.tlb_miss_cycles
         tlb.insert(vpage, phys)
-        return PhysAddr(phys.node, phys.page, offset), self.params.tlb_miss_cycles
+        return _new_addr(PhysAddr, (phys.node, phys.page, offset)), cycles
 
     # ------------------------------------------------------------------
     def install(self, vpage: int, phys: PhysPage) -> None:
         """Eagerly install a mapping (OS action, e.g. after replication)."""
         self._entries[vpage] = phys
         self.tlb.insert(vpage, phys)
-        self._addr_cache.clear()
 
     def invalidate(self, vpage: int) -> None:
         """Drop a mapping and flush its TLB entry (copy deletion)."""
         self._entries.pop(vpage, None)
         self.tlb.flush(vpage)
-        self._addr_cache.clear()
 
     def mapping_of(self, vpage: int) -> Optional[PhysPage]:
         """Current local mapping without side effects (diagnostics)."""

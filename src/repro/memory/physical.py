@@ -1,10 +1,11 @@
 """Per-node physical memory: word-addressed page frames in a flat arena.
 
 Each PLUS node carries 8 or 32 Mbytes of local DRAM (Section 5).  Frame
-storage is compact ``array('l')`` flat memory rather than per-page Python
-lists: one machine word per simulated word, bulk page copies as C-speed
-slice assignments, and no per-element object boxing — what lets a
-1,024-node machine map a million pages without drowning in list headers.
+storage is compact ``array('I')`` flat memory rather than per-page Python
+lists: one 4-byte unsigned slot per simulated 32-bit word, so a 1,024-word
+frame is the 4 Kbytes of a PLUS page, bulk page copies are C-speed slice
+assignments, and no word is boxed as an object — what lets a 1,024-node
+machine map a million pages without drowning in list headers.
 
 Frames are *lazy-zero*: allocation only marks the frame id live; the
 backing array materializes on the first write (reads of an
@@ -22,43 +23,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import AddressError, ConfigError
 from repro.core.params import WORD_MASK
 
-#: Flat-storage element type: platform long (8 bytes on LP64) — wide
-#: enough for the 32-bit masked word values with native C indexing.
-_TYPECODE = "l"
+#: Flat-storage element type: C unsigned int, exactly the 32 bits of a
+#: PLUS word.  Every writer masks with ``WORD_MASK``, so a value always
+#: fits; a platform with a wider ``unsigned int`` would double the arena.
+_TYPECODE = "I"
 _ITEMSIZE = array(_TYPECODE).itemsize
-
-
-class PageFrame:
-    """One standalone physical page of 32-bit words (array-backed).
-
-    :class:`LocalMemory` no longer builds frames from these — its pool
-    is a flat arena — but the class remains the unit-sized frame
-    abstraction for tests and tools that want a single page.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, page_words: int) -> None:
-        self.words = array(_TYPECODE, bytes(page_words * _ITEMSIZE))
-
-    def read(self, offset: int) -> int:
-        return self.words[offset]
-
-    def write(self, offset: int, value: int) -> None:
-        self.words[offset] = value & WORD_MASK
-
-    def load(self, values: List[int]) -> None:
-        """Bulk-initialise the frame (page-copy hardware path)."""
-        if len(values) != len(self.words):
-            raise AddressError(
-                f"page copy of {len(values)} words into "
-                f"{len(self.words)}-word frame"
-            )
-        self.words[:] = array(_TYPECODE, [v & WORD_MASK for v in values])
-
-    def snapshot(self) -> List[int]:
-        """An independent copy of the frame contents."""
-        return self.words.tolist()
+if _ITEMSIZE != 4:
+    raise ImportError(
+        f"array({_TYPECODE!r}) has {_ITEMSIZE}-byte items; frames need 4"
+    )
 
 
 def zero_template(page_words: int) -> bytes:
@@ -72,7 +45,7 @@ class LocalMemory:
 
     The arena is indexed by integer frame id: ``_live[page]`` is 1 while
     the frame is allocated, and ``_storage`` maps only *materialized*
-    frames to their ``array('l')`` words.  An allocated frame absent
+    frames to their ``array('I')`` of 32-bit words.  An allocated frame absent
     from ``_storage`` is lazy-zero; a frame present in it is always live.
     """
 

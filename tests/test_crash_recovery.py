@@ -372,7 +372,7 @@ def _traced_run(seed, arm_crash_machinery):
 
     def worker(ctx, me):
         for i in range(6):
-            seg = segs[rng.randrange(4) if False else (me + i) % 4]
+            seg = segs[rng.randrange(4)]
             yield from ctx.write(seg.addr(i % 4), me * 100 + i)
             yield from ctx.read(seg.addr((i + 1) % 4))
         yield from ctx.fence()

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import pending
 from repro.core.delayed import DelayedOpsCache, Token
 from repro.core.params import OpCode
 from repro.core.pending import PendingWrites
 from repro.errors import ProtocolError, ThreadError
 from repro.memory.address import PhysAddr
+from repro.sim.process import WaitQueue
 
 A = PhysAddr(0, 0, 0)
 B = PhysAddr(0, 0, 1)
@@ -71,6 +73,30 @@ class TestPendingWrites:
         assert got == ["b"]
         pw.complete(x1)
         assert got == ["b", "a"]
+
+    def test_reads_parked_on_one_address_share_a_queue_in_fifo_order(
+        self, monkeypatch
+    ):
+        built = []
+
+        class CountingQueue(WaitQueue):
+            def __init__(self, name=""):
+                built.append(name)
+                super().__init__(name)
+
+        monkeypatch.setattr(pending, "WaitQueue", CountingQueue)
+        pw = PendingWrites(capacity=4)
+        xid = pw.add(A)
+        built.clear()
+        got = []
+        pw.when_clear(A, lambda: got.append("first"))
+        queue = pw._addr_waiters[A]
+        pw.when_clear(A, lambda: got.append("second"))
+        assert pw._addr_waiters == {A: queue} and len(queue) == 2
+        assert len(built) == 1  # built on the first park only
+        pw.complete(xid)
+        assert got == ["first", "second"]
+        assert not pw._addr_waiters
 
     def test_when_empty_fires_on_drain(self):
         pw = PendingWrites(capacity=4)
