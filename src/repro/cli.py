@@ -1055,8 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--op",
                 type=str,
                 required=True,
-                help="request op: simulate, check, sweep, bench, "
-                "status",
+                help="request op: simulate, check, sweep, status",
             )
             p.add_argument(
                 "--host", type=str, default="127.0.0.1", help="daemon host"

@@ -19,14 +19,22 @@ contract, in priority order:
    import/build cost is paid per worker, not per task: each worker
    imports the simulator before its first task (a no-op for what it
    inherited from its parent through ``fork``).
-3. **Crash isolation** — a worker that dies mid-task (segfault, OOM
-   kill) is detected by the pool, the task it held is reported as a
-   crashed :class:`TaskResult` naming the task, and a replacement
-   worker keeps the fleet at strength.  A task that merely *raises*
-   never kills its worker at all (see
+3. **Crash isolation** — each worker has its own duplex pipe, and the
+   parent does the dispatch: it sends a task only to a worker it knows
+   is idle, so it always knows which task each worker holds, and no
+   channel is shared for a dying worker to wedge.  A worker that dies,
+   busy or idle, shows up as EOF on its pipe; the task it held is
+   reported as a crashed :class:`TaskResult` naming the task, and a
+   replacement worker keeps the fleet at strength.  A task that merely
+   *raises* never kills its worker at all (see
    :func:`~repro.parallel.tasks.execute`).
 4. **No orphans** — :meth:`WorkerPool.shutdown` reaps every child on
    every exit path, including an interrupt that lands mid-teardown.
+   EOF is the exit signal in both directions: a worker exits when its
+   pipe closes, so a parent that dies, even by ``SIGKILL``, takes its
+   workers with it.  That holds only if no other process keeps a
+   parent end open, so a worker forked after others closes the parent
+   ends it inherited.
 5. **Pure in-process fallback** — ``jobs=1`` touches no subprocess
    machinery: the same ordered-delivery/early-stop loop runs each task
    inline, so the serial path stays as debuggable as a plain ``for``
@@ -41,23 +49,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
+import socket
 import sys
 import threading
 import time
+from collections import deque
 from itertools import count
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.parallel.tasks import SweepTask, TaskResult, execute
 
-#: ``current[wid]`` marker values (a task position >= 0 means "running").
-_IDLE = -1
-_DONE = -2
-
-#: Seconds the parent waits on the result queue before polling worker
-#: liveness.  Small enough to spot a crash quickly, large enough not to
-#: spin.
+#: Seconds the collector waits on the worker pipes before re-reading
+#: the set of live workers.  A result or a death wakes it at once.
 _POLL_S = 0.1
 
 
@@ -149,31 +153,17 @@ class ProgressLine:
             self.stream.flush()
 
 
-def _worker_main(wid, task_q, conn, current) -> None:
-    """Worker loop: pull ``(pos, task)`` until the None sentinel.
+def _worker_main(conn, inherited=()) -> None:
+    """Worker loop: ``recv`` a task, ``execute`` it, ``send`` the result.
 
-    Results go back over the worker's *own* pipe — a shared result
-    queue's feeder lock can be orphaned by a worker that dies mid-task,
-    wedging every other worker; a private pipe can't hurt anyone else,
-    and its EOF doubles as the parent's instant death notification.
-
-    ``current[wid]`` always names the task position being executed
-    (or _IDLE/_DONE), so the parent can attribute a crash to the task
-    the worker was holding when it died.
-
-    Determinism test hook: ``REPRO_TEST_WORKER_DELAY_MS`` (e.g.
-    ``"0:150,2:40"``) makes worker ``wid`` sleep that many milliseconds
-    before sending each result.  It exists so tests can force arbitrary
-    completion orders and assert the ordered-flush aggregation stays
-    byte-identical; it delays results, never reorders or alters them.
+    The loop ends at EOF: the parent closed its end of the pipe, or
+    died.  First the worker closes ``inherited``, the parent ends of
+    every pool pipe it got through ``fork``, its own included: a copy
+    held here would keep that pipe open after the parent died, and the
+    worker at its other end would wait in ``recv`` forever.
     """
-    delay_s = 0.0
-    spec = os.environ.get("REPRO_TEST_WORKER_DELAY_MS")
-    if spec:
-        for part in spec.split(","):
-            w, _, ms = part.partition(":")
-            if w.strip() == str(wid):
-                delay_s = float(ms) / 1000.0
+    for parent_end in inherited:
+        parent_end.close()
     # Compile the simulator before taking a task.  The daemon and the
     # sweep commands fork workers from a process that never imported
     # it, so otherwise every worker, and every respawn, would compile
@@ -184,19 +174,9 @@ def _worker_main(wid, task_q, conn, current) -> None:
 
     try:
         while True:
-            item = task_q.get()
-            if item is None:
-                break
-            pos, task = item
-            current[wid] = pos
-            result = execute(task)
-            if delay_s:
-                time.sleep(delay_s)
-            conn.send((pos, result))
-            current[wid] = _IDLE
-        current[wid] = _DONE
-    finally:
-        conn.close()
+            conn.send(execute(conn.recv()))
+    except (EOFError, OSError):  # the parent closed its end, or died
+        pass
 
 
 def run_sweep(
@@ -313,14 +293,16 @@ class WorkerPool:
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, jobs)
         self._ctx = default_context()
-        self._task_q = self._ctx.Queue()
-        self._current = self._ctx.Array("i", [_IDLE] * self.jobs, lock=False)
         self._lock = threading.Lock()
+        self._drained = threading.Condition(self._lock)
         self._futures: Dict[int, PoolFuture] = {}
         self._tasks: Dict[int, SweepTask] = {}
         self._tickets = count()
+        self._pending: Deque[int] = deque()  # tickets not yet sent
         self._workers: List[Optional[object]] = [None] * self.jobs
-        self._readers: Dict[object, int] = {}
+        self._readers: Dict[object, int] = {}  # parent pipe end -> wid
+        self._idle: List[object] = []  # parent ends of idle workers
+        self._held: Dict[object, int] = {}  # parent end -> its ticket
         self._closing = False
         self._closed = False
         self.crashes = 0  #: workers lost mid-task over the pool's life
@@ -333,7 +315,7 @@ class WorkerPool:
 
     # -- submission ----------------------------------------------------
     def submit(self, task: SweepTask) -> PoolFuture:
-        """Queue ``task`` for the next free worker (thread-safe)."""
+        """Send ``task`` to an idle worker, or queue it (thread-safe)."""
         future = PoolFuture()
         with self._lock:
             if self._closing:
@@ -341,7 +323,8 @@ class WorkerPool:
             ticket = next(self._tickets)
             self._futures[ticket] = future
             self._tasks[ticket] = task
-        self._task_q.put((ticket, task))
+            self._pending.append(ticket)
+            self._dispatch()
         return future
 
     def map(self, tasks: List[SweepTask]) -> List[PoolFuture]:
@@ -355,25 +338,52 @@ class WorkerPool:
         )
 
     # -- plumbing ------------------------------------------------------
+    def _dispatch(self) -> None:
+        """Send pending tickets to idle workers; the caller holds the lock.
+
+        An idle worker waits in ``recv``, so a send never blocks.  A
+        send that fails found a worker that died idle: its ticket goes
+        back to the head of the line, and the collector reaps the
+        worker at its EOF.
+        """
+        while self._pending and self._idle:
+            conn = self._idle.pop()
+            ticket = self._pending.popleft()
+            try:
+                conn.send(self._tasks[ticket])
+            except OSError:
+                self._pending.appendleft(ticket)
+                continue
+            self._held[conn] = ticket
+
     def _spawn(self, wid: int) -> None:
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(wid, self._task_q, send_conn, self._current),
-            daemon=True,
-        )
+        conn, child_conn = self._ctx.Pipe()
         with self._lock:
             # A respawn racing shutdown: shutdown lists the workers to
             # retire after setting _closing, so start and register
             # under the lock, or not at all.
             started = not self._closing
             if started:
+                # A forked child inherits every parent end, its own
+                # included, and must close them (see _worker_main).
+                inherited = (
+                    [*self._readers, conn]
+                    if self._ctx.get_start_method() == "fork"
+                    else []
+                )
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, inherited),
+                    daemon=True,
+                )
                 proc.start()
                 self._workers[wid] = proc
-                self._readers[recv_conn] = wid
-        send_conn.close()  # worker holds the only send end (EOF = death)
+                self._readers[conn] = wid
+                self._idle.append(conn)
+                self._dispatch()
+        child_conn.close()  # the worker holds the only child end
         if not started:
-            recv_conn.close()
+            conn.close()
 
     def _resolve(self, ticket: int, result: TaskResult) -> None:
         with self._lock:
@@ -383,7 +393,8 @@ class WorkerPool:
             future._resolve(result)
 
     def _collect(self) -> None:
-        """Collector thread: route results to futures, reap the dead."""
+        """Collector thread: route each result to its future, hand the
+        worker its next ticket, reap the dead."""
         while True:
             with self._lock:
                 conns = list(self._readers)
@@ -395,10 +406,15 @@ class WorkerPool:
             ready = mp_connection.wait(conns, timeout=_POLL_S)
             for conn in ready:
                 try:
-                    ticket, result = conn.recv()
+                    result = conn.recv()
                 except (EOFError, OSError):
                     self._reap(conn)
                     continue
+                with self._lock:
+                    ticket = self._held.pop(conn)
+                    self._idle.append(conn)
+                    self._dispatch()
+                    self._drained.notify_all()
                 self._resolve(ticket, result)
 
     def _reap(self, conn) -> None:
@@ -406,38 +422,34 @@ class WorkerPool:
         task's future and keep the fleet at strength unless closing."""
         with self._lock:
             wid = self._readers.pop(conn, None)
-        conn.close()
-        if wid is None:
+            held = self._held.pop(conn, None)
+            task = self._tasks.get(held)
+            if conn in self._idle:
+                self._idle.remove(conn)
+            # Under the lock: shutdown hangs up on idle pipes under it.
+            conn.close()
+            self._drained.notify_all()
+        if wid is None:  # pragma: no cover — shutdown's last resort took it
             return
         proc = self._workers[wid]
         self._workers[wid] = None
-        if proc is None:  # pragma: no cover — already retired
-            return
         proc.join()  # EOF means the worker is exiting: join is instant
-        held = self._current[wid]
-        clean = proc.exitcode == 0 and held == _DONE
-        if not clean and held >= 0:
-            with self._lock:
-                task = self._tasks.get(held)
-            if task is not None:
-                self.crashes += 1
-                self._resolve(
-                    held,
-                    TaskResult(
-                        index=task.index,
-                        label=task.label,
-                        crashed=True,
-                        error=(
-                            f"worker process died (exitcode "
-                            f"{proc.exitcode}) while running "
-                            f"{task.describe()}"
-                        ),
+        if task is not None:
+            self.crashes += 1
+            self._resolve(
+                held,
+                TaskResult(
+                    index=task.index,
+                    label=task.label,
+                    crashed=True,
+                    error=(
+                        f"worker process died (exitcode "
+                        f"{proc.exitcode}) while running "
+                        f"{task.describe()}"
                     ),
-                )
-        if not clean and not self._closing:
-            # The dead worker never consumed an exit sentinel, so the
-            # replacement inherits its slot.
-            self._current[wid] = _IDLE
+                ),
+            )
+        if not self._closing:
             self._spawn(wid)
 
     # -- teardown ------------------------------------------------------
@@ -480,26 +492,34 @@ class WorkerPool:
     ) -> None:
         """One teardown pass; safe to repeat after an interrupt.
 
-        ``abort`` drops the polite exit sentinels and terminates every
-        live worker up front; otherwise each worker gets ``timeout``
-        seconds to finish and exit, then terminate, then kill.
+        Unless ``abort``, the pass first waits up to ``timeout`` seconds
+        for the held (and, without ``cancel_pending``, the queued) tasks
+        to finish.  Then it hangs up on every idle worker, which reads
+        EOF and exits; ``abort`` also terminates every busy one.
+        A worker still alive at the deadline is terminated, then killed.
         """
-        if cancel_pending:
-            # Discard unclaimed work so no worker starts it; its futures
-            # resolve as cancelled with the other leftovers below.
-            try:
-                while True:
-                    self._task_q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                pass
-        workers = [proc for proc in self._workers if proc is not None]
-        for proc in workers:
-            if abort:
-                if proc.is_alive():
-                    proc.terminate()
-            else:
-                self._task_q.put(None)  # one exit sentinel per worker
         deadline = time.monotonic() + timeout
+        with self._lock:
+            if cancel_pending:
+                self._pending.clear()  # resolved as cancelled below
+            if not abort:
+                self._drained.wait_for(
+                    lambda: not self._held,
+                    timeout=max(0.0, deadline - time.monotonic()),
+                )
+            # Hang up on each idle worker: it reads EOF and exits, and
+            # the collector reaps it.  A shutdown(2), because the
+            # collector owns the fd, and a close would not reach the
+            # worker while a collector poll on it is in progress.
+            for conn in self._idle:
+                with socket.fromfd(
+                    conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM
+                ) as sock:
+                    sock.shutdown(socket.SHUT_RDWR)
+            workers = [proc for proc in self._workers if proc is not None]
+        for proc in workers:
+            if abort and proc.is_alive():
+                proc.terminate()
         for proc in workers:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
             if proc.is_alive():
@@ -508,8 +528,8 @@ class WorkerPool:
             if proc.is_alive():  # pragma: no cover — last resort
                 proc.kill()
                 proc.join(timeout=5)
-        # Every worker is gone, so every pipe is at EOF: the collector
-        # reaps them all and exits within a poll or two.
+        # Every worker is gone, so every pipe left is at EOF: the
+        # collector reaps them all and exits within a poll or two.
         self._collector.join(timeout=max(timeout, 2.0))
         with self._lock:
             for conn in list(self._readers):
@@ -532,10 +552,6 @@ class WorkerPool:
                     error="cancelled: worker pool shut down",
                 )
             )
-        try:
-            self._task_q.close()
-        except OSError:  # pragma: no cover
-            pass
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,8 +1,8 @@
 """``repro serve``: the long-running simulation service.
 
 The daemon (:mod:`repro.server.daemon`) serves ``simulate`` / ``check``
-/ ``sweep`` / ``bench`` requests from many concurrent clients over JSON
-lines, canonicalizes parameters into deterministic cache keys
+/ ``sweep`` requests from many concurrent clients over JSON lines,
+canonicalizes parameters into deterministic cache keys
 (:mod:`repro.server.protocol`, :mod:`repro.server.cache`), memoizes
 finished results, and dispatches misses onto a long-lived
 :class:`~repro.parallel.executor.WorkerPool`.  The client side

@@ -3,9 +3,8 @@
 The PLUS machine is a *service* — many processors submitting memory
 operations to a shared substrate — and this daemon gives the
 reproduction the same shape: a long-running process that accepts
-``simulate`` / ``check`` / ``sweep`` / ``bench`` requests from many
-concurrent clients over JSON lines (TCP or unix socket) and dispatches
-them onto one long-lived :class:`~repro.parallel.executor.WorkerPool`.
+``simulate`` / ``check`` / ``sweep`` requests from many concurrent
+clients over JSON lines (TCP or unix socket) and dispatches them onto one long-lived :class:`~repro.parallel.executor.WorkerPool`.
 
 Request lifecycle (documented in DESIGN §11):
 

@@ -9,7 +9,6 @@ the warm worker pool.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict
 
 
@@ -46,28 +45,4 @@ def check_point(
         "dups": result.dups,
         "retransmits": result.retransmits,
         "live_error": result.live_error,
-    }
-
-
-def bench_point(
-    workload: str, repeats: int, vertices: int
-) -> Dict[str, Any]:
-    """Wall-clock timing of one workload (never cached)."""
-    walls = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        simulate_point(
-            workload,
-            nodes=2,
-            copies=1,
-            vertices=vertices,
-            mode="blocking",
-            beam=48,
-        )
-        walls.append(time.perf_counter() - t0)
-    return {
-        "workload": workload,
-        "repeats": len(walls),
-        "wall_s_min": round(min(walls), 4),
-        "wall_s_mean": round(sum(walls) / len(walls), 4),
     }

@@ -106,7 +106,7 @@ class OpSpec:
     optionally maps canonical params to a list of ``(fn, kwargs)``
     pairs — a batch op like ``sweep`` fans out one task per grid point
     and the daemon streams a progress event per completion.  ``cacheable=False``
-    ops (wall-clock benchmarks) always dispatch.
+    ops skip the result cache and always dispatch.
     """
 
     name: str
@@ -199,7 +199,7 @@ def _expand_sweep(params: Dict[str, Any]) -> list:
 
 
 #: The op registry.  Tests may add ops via :func:`register_op`; the
-#: four built-ins mirror the CLI's experiment surface.
+#: three built-ins mirror the CLI's experiment surface.
 OPS: Dict[str, OpSpec] = {}
 
 
@@ -253,19 +253,6 @@ register_op(
             Param("beam", int, default=48),
         ),
         expand=_expand_sweep,
-    )
-)
-
-register_op(
-    OpSpec(
-        name="bench",
-        fn="repro.server.ops:bench_point",
-        params=(
-            Param("workload", str, choices=("sssp", "beam"), default="sssp"),
-            Param("repeats", int, default=1),
-            Param("vertices", int, default=200),
-        ),
-        cacheable=False,  # wall-clock: a cached time answers nothing
     )
 )
 

@@ -10,6 +10,12 @@ ride on it.
 
 import io
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -25,7 +31,7 @@ from repro.parallel import (
     run_sweep,
     shard_tasks,
 )
-from repro.parallel.executor import _DONE, _IDLE, _worker_main
+from repro.parallel.executor import _worker_main
 
 #: Import path prefix for this module's task targets (tests are a
 #: package, so workers can re-import them by name).
@@ -58,17 +64,21 @@ def flaky(seed):
 
 
 def slow(x):
-    import time
-
     time.sleep(30)  # far longer than any test: must be terminated
     return x  # pragma: no cover — workers are killed first
 
 
 def nap(x):
-    import time
-
     time.sleep(0.05)
     return x
+
+
+def late_square(x):
+    """``square``, but task 0 finishes ~120 ms late: its worker
+    completes last instead of first."""
+    if x == 0:
+        time.sleep(0.12)
+    return x * x
 
 
 def _tasks(fn, values, key="x"):
@@ -207,20 +217,19 @@ class TestProgressLine:
 
 
 class TestWorkerMain:
-    """The worker loop, driven in-process with fakes (coverage of the
-    exact code subprocesses run)."""
-
-    class FakeQueue:
-        def __init__(self, items):
-            self.items = list(items)
-
-        def get(self):
-            return self.items.pop(0)
+    """The worker loop, driven in-process with a fake pipe (coverage of
+    the exact code subprocesses run)."""
 
     class FakeConn:
-        def __init__(self):
+        def __init__(self, items=()):
+            self.items = list(items)
             self.sent = []
             self.closed = False
+
+        def recv(self):
+            if not self.items:
+                raise EOFError  # the parent closed its end
+            return self.items.pop(0)
 
         def send(self, item):
             self.sent.append(item)
@@ -228,23 +237,21 @@ class TestWorkerMain:
         def close(self):
             self.closed = True
 
-    def test_runs_tasks_until_sentinel(self):
-        tasks = _tasks("square", [5, 6])
-        q = self.FakeQueue([(0, tasks[0]), (1, tasks[1]), None])
-        conn = self.FakeConn()
-        current = [_IDLE]
-        _worker_main(0, q, conn, current)
-        assert [(pos, r.value) for pos, r in conn.sent] == [(0, 25), (1, 36)]
-        assert current[0] == _DONE
-        assert conn.closed
+    def test_runs_tasks_until_eof(self):
+        conn = self.FakeConn(_tasks("square", [5, 6]))
+        _worker_main(conn)
+        assert [r.value for r in conn.sent] == [25, 36]
 
     def test_error_does_not_kill_worker(self):
-        tasks = _tasks("boom", [1]) + _tasks("square", [2])
-        q = self.FakeQueue([(0, tasks[0]), (1, tasks[1]), None])
-        conn = self.FakeConn()
-        _worker_main(0, q, conn, [_IDLE])
-        assert not conn.sent[0][1].ok
-        assert conn.sent[1][1].value == 4
+        conn = self.FakeConn(_tasks("boom", [1]) + _tasks("square", [2]))
+        _worker_main(conn)
+        assert not conn.sent[0].ok
+        assert conn.sent[1].value == 4
+
+    def test_closes_inherited_parent_ends(self):
+        inherited = [self.FakeConn(), self.FakeConn()]
+        _worker_main(self.FakeConn(), inherited)
+        assert all(c.closed for c in inherited)
 
 
 class TestParallelSweep:
@@ -304,6 +311,54 @@ def _surviving_children(before):
         for p in multiprocessing.active_children()
         if p not in before and p.is_alive()
     ]
+
+
+def _exited(pid):
+    """True once ``pid`` has exited: gone, or a zombie (state ``Z``)
+    that its new parent has not reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _wait_until(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+_needs_proc = pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat"
+)
+
+#: Holds a ``WorkerPool(2)``, kills one idle worker so that it is
+#: respawned (the respawn inherits the other worker's parent pipe end
+#: through ``fork``), prints the live worker pids, then waits to be
+#: killed itself.
+_POOL_HOLDER = textwrap.dedent(
+    """
+    import os, signal, time
+    from repro.parallel import WorkerPool
+
+    pool = WorkerPool(jobs=2)
+    first = pool._workers[0].pid
+    os.kill(first, signal.SIGKILL)
+
+    def pids():
+        return [p.pid for p in pool._workers if p is not None]
+
+    while len(pids()) < 2 or first in pids():
+        time.sleep(0.02)
+    print(*pids(), flush=True)
+    time.sleep(120)
+    """
+)
 
 
 class TestInterruptSafety:
@@ -464,6 +519,58 @@ class TestWorkerPool:
         assert _surviving_children(before) == []
         pool.shutdown()  # idempotent after the interrupted teardown
 
+    @_needs_proc
+    def test_killed_idle_worker_does_not_wedge_the_pool(self):
+        with WorkerPool(jobs=2) as pool:
+            for trial in range(6):
+                warm = pool.map(_tasks("square", range(4)))
+                assert [f.result(timeout=30).value for f in warm] == [
+                    0, 1, 4, 9
+                ]
+                # Both workers are now idle, waiting for a task.
+                victim = pool._workers[trial % 2].pid
+                os.kill(victim, signal.SIGKILL)
+                assert _wait_until(lambda: _exited(victim), 5)
+                fresh = pool.map(_tasks("square", [trial, trial + 1]))
+                values = [f.result(timeout=10).value for f in fresh]
+                assert values == [trial * trial, (trial + 1) ** 2]
+                assert _wait_until(lambda: pool.alive_workers == 2, 10)
+
+    @_needs_proc
+    def test_killed_parent_leaves_no_workers(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _POOL_HOLDER],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([holder.stdout], [], [], 60)
+            assert ready, "pool holder never reported its workers"
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            assert len(pids) == 2
+            holder.kill()
+            holder.wait()
+            assert _wait_until(lambda: all(map(_exited, pids)), 5), [
+                pid for pid in pids if not _exited(pid)
+            ]
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+            for pid in pids:  # leave nothing behind if the test failed
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
     def test_submit_after_shutdown_raises(self):
         pool = WorkerPool(jobs=1)
         pool.shutdown()
@@ -527,17 +634,14 @@ class TestCLIDeterminism:
 class TestCompletionOrderDeterminism:
     """Workers finishing in any order must not change any output.
 
-    ``REPRO_TEST_WORKER_DELAY_MS`` (executor test hook) delays chosen
-    workers' result sends, forcing completion orders the scheduler
-    would rarely produce naturally; the ordered-flush aggregation must
-    be insensitive to it.
+    ``late_square`` makes task 0 finish last instead of first, a
+    completion order the scheduler would rarely produce naturally; the
+    ordered-flush aggregation must be insensitive to it.
     """
 
-    def test_sweep_results_survive_reordered_completions(self, monkeypatch):
-        tasks = _tasks("square", range(10))
-        baseline = _strip(run_sweep(tasks, jobs=3, show_progress=False))
-        # Worker 0 finishes last instead of first.
-        monkeypatch.setenv("REPRO_TEST_WORKER_DELAY_MS", "0:120")
+    def test_sweep_results_survive_reordered_completions(self):
+        tasks = _tasks("late_square", range(10))
+        baseline = _strip(run_sweep(tasks, jobs=1))
         delayed = _strip(run_sweep(tasks, jobs=3, show_progress=False))
         assert delayed == baseline
         assert [r.value for r in delayed] == [x * x for x in range(10)]

@@ -54,15 +54,15 @@ class TestPendingWrites:
 
     def test_when_room_wakes_in_fifo_order(self):
         pw = PendingWrites(capacity=1)
-        pw.add(A)
+        x1 = pw.add(A)
         order = []
         pw.when_room(lambda: order.append("first"))
         pw.when_room(lambda: order.append("second"))
         assert pw.stall_events == 2
-        x2 = pw.add  # placeholder to keep flake quiet
-        del x2
-        pw.complete(next(iter(pw._addr_of)))
+        pw.complete(x1)
         assert order == ["first"]  # one wake per completion
+        pw.complete(pw.add(B))
+        assert order == ["first", "second"]
 
     def test_when_clear_fires_when_address_drains(self):
         pw = PendingWrites(capacity=4)
