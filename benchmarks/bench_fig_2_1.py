@@ -15,58 +15,30 @@ efficiency = T(1) / (n * T(n)) and the useful-time utilization.
 
 import pytest
 
-from repro.apps.sssp import SSSPConfig, run_sssp
+from repro.parallel.grid import FIG_2_1, fig21_point
 
 from conftest import record_table, simulate_once
 
-SWEEP = (1, 2, 4, 8, 16, 32, 64)
+PARAMS = {"max_nodes": 64, "vertices": 800}
+#: Figure 2-1's points as the CLI makes them, keyed by processor count.
+RUNS = {kwargs["nodes"]: kwargs for _label, kwargs in FIG_2_1.tasks(PARAMS)}
+SWEEP = tuple(RUNS)
 
 _measured = {}
 
 
-def _config(mode, n_nodes):
-    if mode == "none":
-        # Unreplicated pages; each processor only drains its own queue.
-        return SSSPConfig(copies=1, steal=False)
-    return SSSPConfig(copies=min(4, n_nodes), steal=True)
-
-
-@pytest.mark.parametrize("mode", ["none", "replicated"])
 @pytest.mark.parametrize("n_nodes", SWEEP)
-def test_fig_2_1_point(benchmark, sssp_workload, mode, n_nodes):
-    graph, reference = sssp_workload
+def test_fig_2_1_point(benchmark, n_nodes):
+    # Both configurations at n_nodes, each verified against Dijkstra.
+    point = simulate_once(benchmark, lambda: fig21_point(**RUNS[n_nodes]))
+    _measured[n_nodes] = point
+    benchmark.extra_info.update(point)
 
-    def run():
-        return run_sssp(n_nodes, graph, _config(mode, n_nodes))
-
-    result = simulate_once(benchmark, run)
-    assert result.distances == reference
-    _measured[(mode, n_nodes)] = (
-        result.cycles,
-        result.report.utilization(),
-    )
-    benchmark.extra_info["cycles"] = result.cycles
-    benchmark.extra_info["utilization"] = result.report.utilization()
-
-    if len(_measured) == 2 * len(SWEEP):
-        base = _measured[("none", 1)][0]
-        rows = []
-        for n in SWEEP:
-            nc, nu = _measured[("none", n)]
-            rc, ru = _measured[("replicated", n)]
-            rows.append(
-                [n, base / (n * nc), nu, base / (n * rc), ru]
-            )
+    if len(_measured) == len(SWEEP):
         record_table(
-            "Figure 2-1 (efficiency): SSSP vs processor count",
-            [
-                "nodes",
-                "eff (no repl)",
-                "util (no repl)",
-                "eff (repl)",
-                "util (repl)",
-            ],
-            rows,
+            FIG_2_1.title,
+            list(FIG_2_1.columns),
+            FIG_2_1.table_rows(PARAMS, [_measured[n] for n in SWEEP]),
             notes=(
                 "paper: no-replication utilization collapses past 2 "
                 "processors; replication holds up until the problem runs "
@@ -74,10 +46,10 @@ def test_fig_2_1_point(benchmark, sssp_workload, mode, n_nodes):
             ),
         )
         # The figure's qualitative claims.
-        none_util = {n: _measured[("none", n)][1] for n in SWEEP}
-        repl_util = {n: _measured[("replicated", n)][1] for n in SWEEP}
-        repl_cycles = {n: _measured[("replicated", n)][0] for n in SWEEP}
-        none_cycles = {n: _measured[("none", n)][0] for n in SWEEP}
+        none_util = {n: _measured[n]["none_util"] for n in SWEEP}
+        repl_util = {n: _measured[n]["repl_util"] for n in SWEEP}
+        repl_cycles = {n: _measured[n]["repl_cycles"] for n in SWEEP}
+        none_cycles = {n: _measured[n]["none_cycles"] for n in SWEEP}
         # Without replication, utilization collapses early.
         assert none_util[16] < none_util[2] * 0.75
         # Replication keeps utilization well above the baseline at scale.

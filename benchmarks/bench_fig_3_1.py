@@ -15,70 +15,39 @@ decoder.
 
 import pytest
 
-from repro.apps.beam import BeamConfig, run_beam
+from repro.parallel.grid import BEAM_MODES, FIG_3_1, beam_point
 
 from conftest import record_table, simulate_once
 
 SWEEP = (2, 4, 8, 16)
 
-MODES = {
-    "blocking": dict(sync_mode="blocking"),
-    "delayed": dict(sync_mode="delayed"),
-    "ctx16": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=16
-    ),
-    "ctx40": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=40
-    ),
-    "ctx140": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=140
-    ),
-}
-
 _measured = {}
 _base = {}
 
 
-def _check(result, lattice, beam, reference):
-    last = lattice.n_layers - 1
-    ref_best = min(
-        reference[lattice.state_id(last, i)]
-        for i in range(lattice.width)
-        if lattice.state_id(last, i) in reference
-    )
-    assert result.best_final_cost == ref_best
-    for state, cost in reference.items():
-        assert result.scores.get(state) == cost
+def _run(n_nodes, label):
+    """The run ``python -m repro fig-3-1 --nodes n_nodes`` labels
+    ``label`` ("base" or a mode); beam_point raises if it diverges
+    from the sequential reference."""
+    kwargs = dict(FIG_3_1.tasks({"nodes": n_nodes}))[label]
+    return beam_point(**kwargs)
 
 
-def test_fig_3_1_baseline(benchmark, beam_workload):
+def test_fig_3_1_baseline(benchmark):
     """The single-node blocking run every efficiency is measured against."""
-    lattice, beam, reference = beam_workload
-
-    def run():
-        return run_beam(1, lattice, BeamConfig(beam=beam))
-
-    result = simulate_once(benchmark, run)
-    _check(result, lattice, beam, reference)
-    _base["cycles"] = result.cycles
-    benchmark.extra_info["cycles"] = result.cycles
+    point = simulate_once(benchmark, lambda: _run(1, "base"))
+    _base["cycles"] = point["cycles"]
+    benchmark.extra_info["cycles"] = point["cycles"]
 
 
-@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("mode", BEAM_MODES)
 @pytest.mark.parametrize("n_nodes", SWEEP)
-def test_fig_3_1_point(benchmark, beam_workload, mode, n_nodes):
-    lattice, beam, reference = beam_workload
-    config = BeamConfig(beam=beam, **MODES[mode])
+def test_fig_3_1_point(benchmark, mode, n_nodes):
+    point = simulate_once(benchmark, lambda: _run(n_nodes, mode))
+    _measured[(mode, n_nodes)] = point["cycles"]
+    benchmark.extra_info["cycles"] = point["cycles"]
 
-    def run():
-        return run_beam(n_nodes, lattice, config)
-
-    result = simulate_once(benchmark, run)
-    _check(result, lattice, beam, reference)
-    _measured[(mode, n_nodes)] = result.cycles
-    benchmark.extra_info["cycles"] = result.cycles
-
-    if len(_measured) == len(MODES) * len(SWEEP):
+    if len(_measured) == len(BEAM_MODES) * len(SWEEP):
         base = _base["cycles"]
         rows = []
         for n in SWEEP:
@@ -86,12 +55,12 @@ def test_fig_3_1_point(benchmark, beam_workload, mode, n_nodes):
                 [n]
                 + [
                     base / (n * _measured[(m, n)])
-                    for m in MODES
+                    for m in BEAM_MODES
                 ]
             )
         record_table(
             "Figure 3-1: beam-search efficiency by synchronization style",
-            ["nodes"] + list(MODES),
+            ["nodes"] + list(BEAM_MODES),
             rows,
             notes=(
                 "paper ordering at moderate scale: ctx16 best, delayed "

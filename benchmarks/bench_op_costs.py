@@ -8,10 +8,12 @@ This benchmark measures those quantities on the simulated machine and
 checks each against the formula.
 """
 
-import pytest
-
 from repro.core.params import PAPER_PARAMS, OpCode
-from repro.machine import PlusMachine
+from repro.parallel.grid import (
+    delayed_op_point,
+    pipelined_fetch_add_point,
+    remote_read_point,
+)
 
 from conftest import record_table, simulate_once
 
@@ -29,18 +31,7 @@ def _finish():
 
 
 def _remote_read_cycles(hops):
-    machine = PlusMachine(n_nodes=4, width=4, height=1)
-    seg = machine.shm.alloc(1, home=hops)
-
-    def worker(ctx):
-        yield from ctx.read(seg.base)  # warm the translation
-        start = machine.engine.now
-        yield from ctx.read(seg.base)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
+    return remote_read_point(hops)["cycles"]
 
 
 def test_remote_read_adjacent(benchmark):
@@ -69,19 +60,8 @@ def test_remote_read_extra_hops(benchmark):
 
 
 def _delayed_op_cycles(local):
-    machine = PlusMachine(n_nodes=2)
-    seg = machine.shm.alloc(1, home=0 if local else 1)
-
-    def worker(ctx):
-        yield from ctx.delayed_read(seg.base)
-        start = machine.engine.now
-        token = yield from ctx.issue_fetch_add(seg.base, 1)
-        yield from ctx.result(token)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
+    point = delayed_op_point("fetch-and-add", 1, home=0 if local else 1)
+    return point["end_to_end"]
 
 
 def test_delayed_op_local(benchmark):
@@ -130,27 +110,9 @@ def test_delayed_op_remote(benchmark):
 def test_pipelining_amortises_round_trips(benchmark):
     """Eight pipelined remote ops approach one round trip plus eight CM
     executions, instead of eight full round trips."""
-
-    def run():
-        machine = PlusMachine(n_nodes=2)
-        seg = machine.shm.alloc(8, home=1)
-
-        def worker(ctx):
-            yield from ctx.delayed_read(seg.base)
-            start = machine.engine.now
-            tokens = []
-            for i in range(8):
-                token = yield from ctx.issue_fetch_add(seg.base + i, 1)
-                tokens.append(token)
-            for token in tokens:
-                yield from ctx.result(token)
-            return machine.engine.now - start
-
-        thread = machine.spawn(0, worker)
-        machine.run()
-        return thread.result
-
-    measured = simulate_once(benchmark, run)
+    measured = simulate_once(
+        benchmark, lambda: pipelined_fetch_add_point(8)["cycles"]
+    )
     blocking_estimate = 8 * (25 + 4 + 24 + 39 + 10)
     _rows.append(
         [

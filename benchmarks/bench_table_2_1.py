@@ -17,40 +17,25 @@ update the copies), and shifts total traffic towards updates.
 
 import pytest
 
-from repro.apps.sssp import SSSPConfig, run_sssp
+from repro.parallel.grid import TABLE_2_1, sssp_point
 
 from conftest import record_table, simulate_once
 
 N_NODES = 16
-COPIES = (1, 2, 3, 4, 5)
-
-PAPER_ROWS = {
-    1: (1.25, 3.40, 6.18),
-    2: (1.70, 1.18, 2.91),
-    3: (1.64, 0.70, 2.24),
-    4: (2.14, 0.45, 1.89),
-    5: (2.32, 0.36, 1.68),
+#: Table 2-1's runs as the CLI makes them, keyed by copies.
+RUNS = {
+    kwargs["copies"]: kwargs
+    for _label, kwargs in TABLE_2_1.tasks({"nodes": N_NODES, "vertices": 800})
 }
+COPIES = tuple(RUNS)
 
 _measured = {}
 
 
 @pytest.mark.parametrize("copies", COPIES)
-def test_table_2_1_row(benchmark, sssp_workload, copies):
-    graph, reference = sssp_workload
-
-    def run():
-        # The paper replicated "the queues and vertices" (Section 2.5),
-        # so this sweep replicates both kinds of page.
-        return run_sssp(
-            N_NODES,
-            graph,
-            SSSPConfig(copies=copies, replicate_queues=True),
-        )
-
-    result = simulate_once(benchmark, run)
-    assert result.distances == reference, "SSSP diverged from Dijkstra"
-    ratios = result.report.table_2_1_row()
+def test_table_2_1_row(benchmark, copies):
+    # sssp_point raises if the distances differ from Dijkstra's.
+    ratios = simulate_once(benchmark, lambda: sssp_point(**RUNS[copies]))
     _measured[copies] = ratios
     benchmark.extra_info.update(ratios)
 
@@ -58,7 +43,7 @@ def test_table_2_1_row(benchmark, sssp_workload, copies):
         rows = []
         for c in COPIES:
             m = _measured[c]
-            p = PAPER_ROWS[c]
+            p = TABLE_2_1.paper[c]
             rows.append(
                 [
                     c,

@@ -7,86 +7,35 @@ simulated machine — issue, remote execution, result read — and recovers
 the CM execution component by subtracting the documented fixed costs
 (25-cycle issue, 10-cycle result read, 24-cycle adjacent round trip,
 request-forming overhead), verifying the machine really charges the
-Table 3-1 numbers.
+Table 3-1 numbers.  The paper column is ``PAPER_PARAMS.op_cycles``,
+which ``tests/test_params.py`` pins to the paper's 39 and 52.
 """
 
 import pytest
 
-from repro.core.params import PAPER_PARAMS, OpCode
-from repro.machine import PlusMachine
+from repro.parallel.grid import TABLE_3_1, TABLE_3_1_CASES, delayed_op_point
 
 from conftest import record_table, simulate_once
-
-#: (operation, paper cycles, operand)
-CASES = [
-    (OpCode.XCHNG, 39, 5),
-    (OpCode.COND_XCHNG, 39, 5),
-    (OpCode.FETCH_ADD, 39, 1),
-    (OpCode.FETCH_SET, 39, 0),
-    (OpCode.QUEUE, 52, 1),
-    (OpCode.DEQUEUE, 52, 0),
-    (OpCode.MIN_XCHNG, 52, 3),
-    (OpCode.DELAYED_READ, 39, 0),
-]
 
 _measured = {}
 
 
-def _measure(op, operand):
-    """End-to-end latency of one delayed op on an adjacent node."""
-    machine = PlusMachine(n_nodes=2)
-    if op in (OpCode.QUEUE, OpCode.DEQUEUE):
-        queue = machine.shm.alloc_queue(home=1)
-        va = queue.tail_va if op is OpCode.QUEUE else queue.head_va
-    else:
-        seg = machine.shm.alloc(1, home=1)
-        va = seg.base
-
-    def worker(ctx):
-        yield from ctx.delayed_read(va)  # warm the translation
-        start = machine.engine.now
-        token = yield from ctx.issue(op, va, operand)
-        yield from ctx.result(token)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
-
-
-@pytest.mark.parametrize("op,paper_cycles,operand", CASES)
-def test_table_3_1_op(benchmark, op, paper_cycles, operand):
-    total = simulate_once(benchmark, lambda: _measure(op, operand))
-    params = PAPER_PARAMS
-    fixed = (
-        params.issue_delayed_cycles
-        + params.read_result_cycles
-        + 2 * params.one_way_latency(1)
-        + params.cm_forward_cycles  # request formation at the issuer
-    )
-    cm_cycles = total - fixed
-    _measured[op] = (total, cm_cycles, paper_cycles)
-    benchmark.extra_info["end_to_end_cycles"] = total
-    benchmark.extra_info["cm_execution_cycles"] = cm_cycles
-    assert cm_cycles == paper_cycles, (
-        f"{op.value}: measured CM execution {cm_cycles}, "
-        f"paper says {paper_cycles}"
+@pytest.mark.parametrize("op,operand", TABLE_3_1_CASES)
+def test_table_3_1_op(benchmark, op, operand):
+    point = simulate_once(benchmark, lambda: delayed_op_point(op, operand))
+    _measured[op] = point
+    benchmark.extra_info["end_to_end_cycles"] = point["end_to_end"]
+    benchmark.extra_info["cm_execution_cycles"] = point["cm_execution"]
+    assert point["cm_execution"] == point["paper"], (
+        f"{op}: measured CM execution {point['cm_execution']}, "
+        f"paper says {point['paper']}"
     )
 
-    if len(_measured) == len(CASES):
-        rows = [
-            [op.value, m[0], m[1], m[2]]
-            for op, m in _measured.items()
-        ]
+    if len(_measured) == len(TABLE_3_1_CASES):
         record_table(
-            "Table 3-1: delayed operations (adjacent node, uncontended)",
-            [
-                "operation",
-                "end-to-end cycles",
-                "CM execution",
-                "paper CM cycles",
-            ],
-            rows,
+            TABLE_3_1.title,
+            list(TABLE_3_1.columns),
+            TABLE_3_1.table_rows({}, list(_measured.values())),
             notes=(
                 "end-to-end = 25 issue + 4 request + 24 round trip + "
                 "CM execution + 10 result read"

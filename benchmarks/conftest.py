@@ -16,13 +16,7 @@ from typing import List
 
 import pytest
 
-from repro.apps.graphs import (
-    dijkstra,
-    geometric_graph,
-    initial_costs,
-    layered_lattice,
-    beam_search_reference,
-)
+from repro.apps.graphs import dijkstra, geometric_graph
 from repro.stats.report import format_table
 
 #: (title, headers, rows, notes) tuples accumulated by benchmarks.
@@ -66,31 +60,8 @@ def simulate_once(benchmark, fn):
 # Cached evaluation workloads (built once per session).
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
-def sssp_workload():
-    """The shortest-path input used by Table 2-1 and the efficiency
-    figure: spatially local, large enough to occupy ~32 processors."""
-    graph = geometric_graph(
-        800, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-    )
-    return graph, dijkstra(graph, 0)
-
-
-@pytest.fixture(scope="session")
 def sssp_workload_small():
     graph = geometric_graph(
         400, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
     )
     return graph, dijkstra(graph, 0)
-
-
-@pytest.fixture(scope="session")
-def beam_workload():
-    """The beam-search input of Figure 3-1: a wide lattice so per-layer
-    work dwarfs the phase barriers."""
-    lattice = layered_lattice(
-        n_layers=12, width=128, branching=3, seed=5, hot_fraction=0.6
-    )
-    beam = 60
-    initial = initial_costs(lattice, seed=1)
-    reference = beam_search_reference(lattice, beam=beam, initial=initial)
-    return lattice, beam, reference

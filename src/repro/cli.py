@@ -15,14 +15,13 @@ Usage::
     python -m repro sweep beam --nodes 8 --modes blocking,delayed [--jobs N]
     python -m repro sweep --placement --nodes 256 [--jobs N]
 
-Each command builds the workload, runs the simulation(s), verifies the
-results against the sequential oracle, and prints the paper-style table.
-Every sweep-shaped command takes ``--jobs N`` to fan its independent
-runs out across worker processes (``--jobs 0`` = all cores); output is
-byte-identical for every job count.  The pytest benchmark harness
-(``pytest benchmarks/ --benchmark-only``) runs the same experiments
-with assertions and wall-clock measurement; this CLI is the quick
-interactive path.
+The five paper experiments and the three sweep grids are declared in
+:mod:`repro.parallel.grid`; their flags, ``list`` lines and runs all
+derive from those declarations, which the ``repro serve`` daemon's
+``sweep`` op and the paper benchmarks share.  Every run is verified
+against its sequential reference.  ``--jobs N`` fans independent runs
+out across worker processes (``0`` = all cores); stdout is
+byte-identical for every job count.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List
+
+from repro.parallel.grid import EXPERIMENTS, SWEEPS
 
 
 def _resolve_jobs(args) -> int:
@@ -41,256 +41,6 @@ def _resolve_jobs(args) -> int:
     return effective_jobs(
         args.jobs, oversubscribe=getattr(args, "oversubscribe", False)
     )
-
-
-def _cmd_table_2_1(args) -> int:
-    from repro.apps.graphs import dijkstra, geometric_graph
-    from repro.apps.sssp import SSSPConfig, run_sssp
-    from repro.stats.report import format_table
-
-    graph = geometric_graph(
-        args.vertices, degree=5, long_edge_fraction=0.08, seed=7
-    )
-    reference = dijkstra(graph, 0)
-    rows = []
-    for copies in range(1, min(5, args.nodes) + 1):
-        result = run_sssp(
-            args.nodes,
-            graph,
-            SSSPConfig(copies=copies, replicate_queues=True),
-        )
-        assert result.distances == reference, "SSSP diverged"
-        r = result.report.table_2_1_row()
-        rows.append(
-            [
-                copies,
-                r["reads_local_over_remote"],
-                r["writes_local_over_remote"],
-                r["total_over_update"],
-            ]
-        )
-        print(f"  copies={copies}: verified ({result.cycles:,} cycles)")
-    print()
-    print(
-        format_table(
-            ["copies", "reads L/R", "writes L/R", "total/update"],
-            rows,
-            title=f"Table 2-1 (SSSP, {args.nodes} processors)",
-        )
-    )
-    return 0
-
-
-def _cmd_fig_2_1(args) -> int:
-    from repro.parallel import SweepTask, run_sweep
-    from repro.stats.report import format_table
-
-    sweep = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= args.max_nodes]
-    tasks = [
-        SweepTask.make(
-            n,
-            "repro.parallel.grid:fig21_point",
-            {"nodes": n, "vertices": args.vertices},
-            label=f"{n} node(s)",
-        )
-        for n in sweep
-    ]
-    outcomes = run_sweep(
-        tasks,
-        jobs=_resolve_jobs(args),
-        on_result=lambda r: print(
-            f"  {r.label}: verified" if r.ok else f"  {r.describe()}"
-        ),
-        label="fig-2-1",
-    )
-    if not all(r.ok for r in outcomes):
-        return 1
-    base = outcomes[0].value["none_cycles"]
-    rows: List[List[object]] = [
-        [
-            p["nodes"],
-            base / (p["nodes"] * p["none_cycles"]),
-            p["none_util"],
-            base / (p["nodes"] * p["repl_cycles"]),
-            p["repl_util"],
-        ]
-        for p in (r.value for r in outcomes)
-    ]
-    print()
-    print(
-        format_table(
-            ["nodes", "eff none", "util none", "eff repl", "util repl"],
-            rows,
-            title="Figure 2-1 (efficiency): SSSP vs processors",
-        )
-    )
-    return 0
-
-
-def _cmd_table_3_1(args) -> int:
-    from repro.core.params import PAPER_PARAMS, OpCode
-    from repro.machine import PlusMachine
-    from repro.stats.report import format_table
-
-    del args
-    cases = [
-        (OpCode.XCHNG, 5),
-        (OpCode.COND_XCHNG, 5),
-        (OpCode.FETCH_ADD, 1),
-        (OpCode.FETCH_SET, 0),
-        (OpCode.QUEUE, 1),
-        (OpCode.DEQUEUE, 0),
-        (OpCode.MIN_XCHNG, 3),
-        (OpCode.DELAYED_READ, 0),
-    ]
-    rows = []
-    for op, operand in cases:
-        machine = PlusMachine(n_nodes=2)
-        if op in (OpCode.QUEUE, OpCode.DEQUEUE):
-            queue = machine.shm.alloc_queue(home=1)
-            va = queue.tail_va if op is OpCode.QUEUE else queue.head_va
-        else:
-            va = machine.shm.alloc(1, home=1).base
-
-        def worker(ctx, va=va, op=op, operand=operand):
-            yield from ctx.delayed_read(va)
-            start = machine.engine.now
-            token = yield from ctx.issue(op, va, operand)
-            yield from ctx.result(token)
-            return machine.engine.now - start
-
-        thread = machine.spawn(0, worker)
-        machine.run()
-        fixed = (
-            PAPER_PARAMS.issue_delayed_cycles
-            + PAPER_PARAMS.read_result_cycles
-            + 2 * PAPER_PARAMS.one_way_latency(1)
-            + PAPER_PARAMS.cm_forward_cycles
-        )
-        rows.append(
-            [
-                op.value,
-                thread.result,
-                thread.result - fixed,
-                PAPER_PARAMS.op_cycles[op],
-            ]
-        )
-    print(
-        format_table(
-            ["operation", "end-to-end", "CM execution", "paper"],
-            rows,
-            title="Table 3-1: delayed operations (adjacent node)",
-        )
-    )
-    return 0
-
-
-def _cmd_fig_3_1(args) -> int:
-    from repro.parallel import SweepTask, run_sweep
-    from repro.parallel.grid import BEAM_MODES
-    from repro.stats.report import format_table
-
-    beam = 60
-    # Task 0 is the single-node blocking baseline the efficiency column
-    # divides by; the paper's five sync styles follow.
-    tasks = [
-        SweepTask.make(
-            0,
-            "repro.parallel.grid:beam_point",
-            {"mode": "blocking", "nodes": 1, "beam": beam},
-            label="base",
-        )
-    ]
-    tasks.extend(
-        SweepTask.make(
-            i + 1,
-            "repro.parallel.grid:beam_point",
-            {"mode": mode, "nodes": args.nodes, "beam": beam},
-            label=mode,
-        )
-        for i, mode in enumerate(BEAM_MODES)
-    )
-    outcomes = run_sweep(
-        tasks,
-        jobs=_resolve_jobs(args),
-        on_result=lambda r: print(
-            f"  {r.label}: verified" if r.ok else f"  {r.describe()}"
-        )
-        if r.label != "base"
-        else None,
-        label="fig-3-1",
-    )
-    if not all(r.ok for r in outcomes):
-        return 1
-    base = outcomes[0].value["cycles"]
-    rows = [
-        [
-            p["mode"],
-            p["cycles"],
-            base / (args.nodes * p["cycles"]),
-            p["utilization"],
-        ]
-        for p in (r.value for r in outcomes[1:])
-    ]
-    print()
-    print(
-        format_table(
-            ["sync style", "cycles", "efficiency", "utilization"],
-            rows,
-            title=f"Figure 3-1: beam search on {args.nodes} nodes",
-        )
-    )
-    return 0
-
-
-def _cmd_costs(args) -> int:
-    from repro.core.params import PAPER_PARAMS
-    from repro.machine import PlusMachine
-    from repro.stats.report import format_table
-
-    del args
-    machine = PlusMachine(n_nodes=4, width=4, height=1)
-    seg = machine.shm.alloc(2, home=1)
-
-    def reader(ctx):
-        yield from ctx.read(seg.base)
-        start = machine.engine.now
-        yield from ctx.read(seg.base)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, reader)
-    machine.run()
-    rows = [
-        ["remote read, adjacent", thread.result, "32 + 24 round trip"],
-        [
-            "adjacent round trip",
-            2 * PAPER_PARAMS.one_way_latency(1),
-            "24 (measured on the router)",
-        ],
-        [
-            "extra hop",
-            PAPER_PARAMS.net_hop_cycles,
-            "4 cycles each way",
-        ],
-        [
-            "delayed-op issue",
-            PAPER_PARAMS.issue_delayed_cycles,
-            "~25 cycles",
-        ],
-        [
-            "result read",
-            PAPER_PARAMS.read_result_cycles,
-            "~10 cycles",
-        ],
-    ]
-    print(
-        format_table(
-            ["quantity", "cycles", "paper"],
-            rows,
-            title="Section 3.1 cost model",
-        )
-    )
-    return 0
 
 
 def _fault_args(args):
@@ -523,14 +273,37 @@ def _cmd_ledger(args) -> int:
     return 1 if failures else 0
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
+def _cmd_experiment(args) -> int:
+    """Run one paper experiment: a progress line per verified point,
+    then its table; any failed point fails the command."""
+    from repro.parallel import run_sweep
+
+    exp = EXPERIMENTS[args.command]
+    params = {p.name: getattr(args, p.name) for p in exp.params}
+
+    def show(r) -> None:
+        if not r.ok or exp.progress is not None:
+            line = exp.progress(r.label, r.value) if r.ok else r.describe()
+            if line is not None:
+                print(f"  {line}")
+
+    outcomes = run_sweep(
+        exp.sweep_tasks(params),
+        jobs=_resolve_jobs(args) if exp.jobs else 1,
+        on_result=show,
+        label=exp.name,
+    )
+    if not all(r.ok for r in outcomes):
+        return 1
+    if exp.progress is not None:
+        print()
+    print(exp.table(params, [r.value for r in outcomes]))
+    return 0
 
 
 def _cmd_sweep(args) -> int:
     """Run a parameter grid across worker processes, print one table."""
-    from repro.parallel import SweepTask, expand_grid, run_sweep, shard_tasks
-    from repro.stats.report import format_table
+    from repro.parallel import run_sweep, shard_tasks
 
     if args.placement:
         args.experiment = "placement"
@@ -539,73 +312,13 @@ def _cmd_sweep(args) -> int:
             "repro sweep: name an experiment (sssp, beam, placement) "
             "or pass --placement"
         )
-    if args.experiment == "sssp":
-        axes = {"nodes": _int_list(args.nodes), "copies": _int_list(args.copies)}
-        fn = "repro.parallel.grid:sssp_point"
-        extra = {"vertices": args.vertices}
-        columns = [
-            "nodes",
-            "copies",
-            "cycles",
-            "messages",
-            "utilization",
-            "total_over_update",
-        ]
-        title = f"SSSP sweep ({args.vertices} vertices)"
-    elif args.experiment == "placement":
-        axes = {
-            "policy": [p for p in args.policies.split(",") if p],
-            "topology": [t for t in args.topologies.split(",") if t],
-            "nodes": _int_list(args.nodes),
-        }
-        fn = "repro.parallel.grid:placement_point"
-        extra = {
-            "pages": args.pages,
-            "requests": args.requests,
-            "seed": args.seed,
-        }
-        columns = [
-            "policy",
-            "topology",
-            "nodes",
-            "cycles",
-            "messages",
-            "mean_hops",
-            "replications",
-            "migrations",
-        ]
-        title = (
-            f"Placement-policy sweep ({args.pages} hot pages, "
-            f"zipfian skew)"
-        )
-    else:  # beam
-        axes = {
-            "nodes": _int_list(args.nodes),
-            "mode": [m for m in args.modes.split(",") if m],
-        }
-        fn = "repro.parallel.grid:beam_point"
-        extra = {"beam": args.beam}
-        columns = ["nodes", "mode", "cycles", "utilization"]
-        title = f"Beam-search sweep (beam {args.beam})"
-
-    points = expand_grid(axes)
-    tasks = [
-        SweepTask.make(
-            i,
-            fn,
-            {**point, **extra},
-            label=", ".join(f"{k}={v}" for k, v in point.items()),
-        )
-        for i, point in enumerate(points)
-    ]
-    tasks = shard_tasks(tasks, args.shard)
+    exp = SWEEPS[args.experiment]
+    params = {p.name: getattr(args, p.name) for p in exp.params}
+    tasks = shard_tasks(exp.sweep_tasks(params), args.shard)
     jobs_effective = _resolve_jobs(args)
     outcomes = run_sweep(tasks, jobs=jobs_effective, label="sweep")
     failures = [r for r in outcomes if not r.ok]
-    rows = [
-        [r.value[c] for c in columns] for r in outcomes if r.ok
-    ]
-    print(format_table(columns, rows, title=title))
+    print(exp.table(params, [r.value for r in outcomes if r.ok]))
     print(
         f"{len(outcomes)} configuration(s) swept, {len(failures)} failure(s)"
     )
@@ -701,11 +414,7 @@ def _cmd_submit(args) -> int:
 
 
 COMMANDS = {
-    "table-2-1": (_cmd_table_2_1, "Table 2-1: replication vs messages"),
-    "fig-2-1": (_cmd_fig_2_1, "Figure 2-1: SSSP efficiency/utilization"),
-    "table-3-1": (_cmd_table_3_1, "Table 3-1: delayed-operation costs"),
-    "fig-3-1": (_cmd_fig_3_1, "Figure 3-1: beam-search sync styles"),
-    "costs": (_cmd_costs, "Section 3.1 latency budget"),
+    **{n: (_cmd_experiment, e.help) for n, e in EXPERIMENTS.items()},
     "check": (_cmd_check, "coherence oracle over seeded stress runs"),
     "ledger": (_cmd_ledger, "2PC bank-ledger crash/recovery sweep"),
     "sweep": (_cmd_sweep, "parameter-grid sweep across worker processes"),
@@ -722,6 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
+
+    def add_params(p, params):
+        for param in params:
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=param.type,
+                default=param.default,
+                choices=param.choices,
+                help=f"{param.help} (default %(default)s)",
+            )
 
     def add_jobs(p, shard=False):
         p.add_argument(
@@ -751,22 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_fn, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        if name == "table-2-1":
-            p.add_argument("--nodes", type=int, default=16)
-            p.add_argument("--vertices", type=int, default=800)
-        elif name == "fig-2-1":
-            p.add_argument("--max-nodes", type=int, default=32)
-            p.add_argument("--vertices", type=int, default=800)
-            add_jobs(p)
-        elif name == "fig-3-1":
-            p.add_argument("--nodes", type=int, default=8)
-            add_jobs(p)
+        if name in EXPERIMENTS:
+            add_params(p, EXPERIMENTS[name].params)
+            if EXPERIMENTS[name].jobs:
+                add_jobs(p)
         elif name == "sweep":
             p.add_argument(
                 "experiment",
                 nargs="?",
                 default=None,
-                choices=("sssp", "beam", "placement"),
+                choices=tuple(SWEEPS),
                 help="which workload's parameter grid to sweep",
             )
             p.add_argument(
@@ -775,70 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="shorthand for the placement experiment "
                 "(policy x topology x nodes grid)",
             )
-            p.add_argument(
-                "--nodes",
-                type=str,
-                default="2,4,8",
-                help="comma-separated processor counts (default 2,4,8)",
-            )
-            p.add_argument(
-                "--copies",
-                type=str,
-                default="1,2",
-                help="sssp: comma-separated replication degrees "
-                "(default 1,2)",
-            )
-            p.add_argument(
-                "--vertices",
-                type=int,
-                default=800,
-                help="sssp: graph size (default 800)",
-            )
-            p.add_argument(
-                "--modes",
-                type=str,
-                default="blocking,delayed,ctx16,ctx40,ctx140",
-                help="beam: comma-separated sync styles",
-            )
-            p.add_argument(
-                "--beam",
-                type=int,
-                default=60,
-                help="beam: beam width (default 60)",
-            )
-            p.add_argument(
-                "--policies",
-                type=str,
-                default="static,replicate,migrate",
-                help="placement: comma-separated policies "
-                "(default static,replicate,migrate)",
-            )
-            p.add_argument(
-                "--topologies",
-                type=str,
-                default="mesh,torus",
-                help="placement: comma-separated topologies "
-                "(default mesh,torus)",
-            )
-            p.add_argument(
-                "--pages",
-                type=int,
-                default=128,
-                help="placement: hot (celebrity) page pool size "
-                "(default 128)",
-            )
-            p.add_argument(
-                "--requests",
-                type=int,
-                default=120,
-                help="placement: accesses issued per node (default 120)",
-            )
-            p.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                help="placement: access-stream seed (default 0)",
-            )
+            # Every grid's params, once each: the grids share ``nodes``.
+            params = {q.name: q for g in SWEEPS.values() for q in g.params}
+            add_params(p, params.values())
             add_jobs(p, shard=True)
         elif name == "check":
             p.add_argument(
@@ -1055,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--op",
                 type=str,
                 required=True,
-                help="request op: simulate, check, sweep, status",
+                help="request op: check, sweep, status",
             )
             p.add_argument(
                 "--host", type=str, default="127.0.0.1", help="daemon host"

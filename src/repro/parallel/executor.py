@@ -305,7 +305,7 @@ class WorkerPool:
         self._held: Dict[object, int] = {}  # parent end -> its ticket
         self._closing = False
         self._closed = False
-        self.crashes = 0  #: workers lost mid-task over the pool's life
+        self.respawns = 0  #: dead workers replaced, idle or mid-task
         for wid in range(self.jobs):
             self._spawn(wid)
         self._collector = threading.Thread(
@@ -435,7 +435,6 @@ class WorkerPool:
         self._workers[wid] = None
         proc.join()  # EOF means the worker is exiting: join is instant
         if task is not None:
-            self.crashes += 1
             self._resolve(
                 held,
                 TaskResult(
@@ -450,6 +449,7 @@ class WorkerPool:
                 ),
             )
         if not self._closing:
+            self.respawns += 1
             self._spawn(wid)
 
     # -- teardown ------------------------------------------------------

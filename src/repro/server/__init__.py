@@ -1,7 +1,7 @@
 """``repro serve``: the long-running simulation service.
 
-The daemon (:mod:`repro.server.daemon`) serves ``simulate`` / ``check``
-/ ``sweep`` requests from many concurrent clients over JSON lines,
+The daemon (:mod:`repro.server.daemon`) serves ``check`` / ``sweep``
+requests from many concurrent clients over JSON lines,
 canonicalizes parameters into deterministic cache keys
 (:mod:`repro.server.protocol`, :mod:`repro.server.cache`), memoizes
 finished results, and dispatches misses onto a long-lived

@@ -3,8 +3,9 @@
 The PLUS machine is a *service* — many processors submitting memory
 operations to a shared substrate — and this daemon gives the
 reproduction the same shape: a long-running process that accepts
-``simulate`` / ``check`` / ``sweep`` requests from many concurrent
-clients over JSON lines (TCP or unix socket) and dispatches them onto one long-lived :class:`~repro.parallel.executor.WorkerPool`.
+``check`` / ``sweep`` requests from many concurrent clients over JSON
+lines (TCP or unix socket) and dispatches them onto one long-lived
+:class:`~repro.parallel.executor.WorkerPool`.
 
 Request lifecycle (documented in DESIGN §11):
 
@@ -387,6 +388,9 @@ class ReproDaemon:
                     "pool_alive": (
                         self._pool.alive_workers if self._pool else 0
                     ),
+                    "pool_respawns": (
+                        self._pool.respawns if self._pool else 0
+                    ),
                 },
                 timer=timer,
             )
@@ -527,8 +531,8 @@ class ReproDaemon:
         self, client, request_id, spec, params: Dict, timer: RequestTimer
     ) -> Any:
         timer.running()
-        if spec.expand is not None:
-            jobs_list: List[Tuple[str, Dict]] = spec.expand(params)
+        jobs_list: Optional[List[Tuple[str, Dict]]] = spec.expand(params)
+        if jobs_list is not None:
             total = len(jobs_list)
             # Fan the whole grid onto the pool, then flush strictly in
             # point order — same contract as ``run_sweep``.

@@ -1,31 +1,16 @@
-"""Worker-side targets for the daemon's built-in ops.
+"""Worker-side target for the daemon's ``check`` op.
 
-Like :mod:`repro.parallel.grid`, every function here is a
+Like the points of :mod:`repro.parallel.grid` (which the ``sweep`` op
+dispatches), :func:`check_point` is a
 :class:`~repro.parallel.tasks.SweepTask` target: module-level,
 importable by path, picklable kwargs in, a plain JSON-serializable dict
-out.  The daemon process imports no simulation code: these run inside
+out.  The daemon process imports no simulation code: it runs inside
 the warm worker pool.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
-
-
-def simulate_point(
-    workload: str,
-    nodes: int,
-    copies: int,
-    vertices: int,
-    mode: str,
-    beam: int,
-) -> Dict[str, Any]:
-    """One verified simulation run (Table 2-1 / Figure 3-1 family)."""
-    from repro.parallel.grid import beam_point, sssp_point
-
-    if workload == "sssp":
-        return sssp_point(nodes=nodes, copies=copies, vertices=vertices)
-    return beam_point(mode=mode, nodes=nodes, beam=beam)
 
 
 def check_point(

@@ -4,7 +4,7 @@ The daemon speaks JSON lines over a stream socket — one JSON object per
 ``\\n``-terminated line, following the coordinator/client shape of the
 distributed-transaction exemplar in SNIPPETS.md.  A request is::
 
-    {"id": 7, "op": "simulate", "params": {"workload": "sssp", ...}}
+    {"id": 7, "op": "sweep", "params": {"experiment": "sssp", ...}}
 
 and the daemon answers with zero or more ``progress`` events followed by
 exactly one ``result`` event carrying the response envelope (see
@@ -23,8 +23,8 @@ differ in any real parameter cannot collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 #: Protocol version — part of every cache key, so a change to result
 #: schemas invalidates stale cached envelopes wholesale.
@@ -45,13 +45,15 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class Param:
-    """One op parameter: type, default, aliases, allowed choices."""
+    """One op or experiment parameter: type, default, aliases, allowed
+    choices, and the ``--help`` line of its CLI flag."""
 
     name: str
     type: type = int
     default: Any = _REQUIRED
     aliases: Tuple[str, ...] = ()
     choices: Optional[Tuple[Any, ...]] = None
+    help: str = ""
 
     @property
     def required(self) -> bool:
@@ -102,20 +104,15 @@ class OpSpec:
 
     ``fn`` is the ``module:callable`` path dispatched to the worker
     pool with the canonical params as keyword arguments (exactly the
-    :class:`~repro.parallel.tasks.SweepTask` contract).  ``expand``
-    optionally maps canonical params to a list of ``(fn, kwargs)``
-    pairs — a batch op like ``sweep`` fans out one task per grid point
-    and the daemon streams a progress event per completion.  ``cacheable=False``
-    ops skip the result cache and always dispatch.
+    :class:`~repro.parallel.tasks.SweepTask` contract).  A batch op
+    overrides :meth:`expand`.  ``cacheable=False`` ops skip the result
+    cache and always dispatch.
     """
 
     name: str
     fn: str
     params: Tuple[Param, ...]
     cacheable: bool = True
-    expand: Optional[Callable[[Dict[str, Any]], list]] = field(
-        default=None, compare=False
-    )
 
     def canonicalize(self, raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         """Aliases folded, defaults filled, types and choices enforced.
@@ -163,43 +160,41 @@ class OpSpec:
             )
         return canonical
 
-
-def _expand_sweep(params: Dict[str, Any]) -> list:
-    """Fan a canonical ``sweep`` request into one kwargs dict per grid
-    point — same axis order and point order as ``python -m repro
-    sweep``, so cached rows line up with CLI rows."""
-    from repro.parallel.grid import expand_grid
-
-    def int_list(text: str) -> list:
-        try:
-            return [int(v) for v in text.split(",") if v]
-        except ValueError:
-            raise ProtocolError(
-                "bad_params", f"expected comma-separated ints: {text!r}"
-            )
-
-    if params["experiment"] == "sssp":
-        axes = {
-            "nodes": int_list(params["nodes"]),
-            "copies": int_list(params["copies"]),
-        }
-        extra = {"vertices": params["vertices"]}
-        fn = "repro.parallel.grid:sssp_point"
-    else:
-        axes = {
-            "nodes": int_list(params["nodes"]),
-            "mode": [m for m in params["modes"].split(",") if m],
-        }
-        extra = {"beam": params["beam"]}
-        fn = "repro.parallel.grid:beam_point"
-    points = expand_grid(axes)
-    if not points:
-        raise ProtocolError("bad_params", "sweep grid is empty")
-    return [(fn, {**point, **extra}) for point in points]
+    def expand(self, params: Dict[str, Any]) -> Optional[list]:
+        """A batch op's ``(fn, kwargs)`` pair per task, in order; the
+        daemon streams a progress event per completion.  None for a
+        one-task op."""
+        return None
 
 
-#: The op registry.  Tests may add ops via :func:`register_op`; the
-#: three built-ins mirror the CLI's experiment surface.
+class SweepOp(OpSpec):
+    """The batch ``sweep`` op: ``experiment`` picks a grid declared in
+    :mod:`repro.parallel.grid`; the other params are that grid's alone,
+    with the CLI's defaults, and its points are the CLI's."""
+
+    def canonicalize(self, raw: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        from repro.parallel.grid import SWEEPS
+
+        raw = dict(raw or {})
+        pick = Param("experiment", str, "sssp", choices=tuple(SWEEPS))
+        head = OpSpec(self.name, "", (pick,)).canonicalize(
+            {k: raw.pop(k) for k in [pick.name] if k in raw}
+        )
+        rest = OpSpec(self.name, "", SWEEPS[head["experiment"]].params)
+        return {**head, **rest.canonicalize(raw)}
+
+    def expand(self, params: Dict[str, Any]) -> list:
+        from repro.parallel.grid import SWEEPS
+
+        params = dict(params)
+        exp = SWEEPS[params.pop("experiment")]
+        tasks = exp.tasks(params)
+        if not tasks:
+            raise ProtocolError("bad_params", "sweep grid is empty")
+        return [(exp.target, kwargs) for _label, kwargs in tasks]
+
+
+#: The op registry.  Tests may add ops via :func:`register_op`.
 OPS: Dict[str, OpSpec] = {}
 
 
@@ -208,21 +203,6 @@ def register_op(spec: OpSpec) -> OpSpec:
     OPS[spec.name] = spec
     return spec
 
-
-register_op(
-    OpSpec(
-        name="simulate",
-        fn="repro.server.ops:simulate_point",
-        params=(
-            Param("workload", str, choices=("sssp", "beam"), default="sssp"),
-            Param("nodes", int, default=4),
-            Param("copies", int, default=1),
-            Param("vertices", int, default=200),
-            Param("mode", str, default="blocking"),
-            Param("beam", int, default=48),
-        ),
-    )
-)
 
 register_op(
     OpSpec(
@@ -238,23 +218,7 @@ register_op(
     )
 )
 
-register_op(
-    OpSpec(
-        name="sweep",
-        fn="",  # batch op: ``expand`` supplies per-point targets
-        params=(
-            Param(
-                "experiment", str, choices=("sssp", "beam"), default="sssp"
-            ),
-            Param("nodes", str, default="2,4"),
-            Param("copies", str, default="1,2"),
-            Param("vertices", int, default=200),
-            Param("modes", str, default="blocking,delayed"),
-            Param("beam", int, default=48),
-        ),
-        expand=_expand_sweep,
-    )
-)
+register_op(SweepOp(name="sweep", fn="", params=()))
 
 
 def get_op(name: Any) -> OpSpec:

@@ -471,7 +471,7 @@ class TestWorkerPool:
                 timeout=30
             )
             assert healthy.value == 36
-            assert pool.crashes == 1
+            assert pool.respawns == 1
 
     def test_shutdown_reaps_children(self):
         import multiprocessing

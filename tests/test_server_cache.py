@@ -98,8 +98,40 @@ class TestCanonicalization:
 
     def test_choices_enforced(self):
         with pytest.raises(ProtocolError) as exc:
-            get_op("simulate").canonicalize({"workload": "qsort"})
-        assert "workload" in exc.value.message
+            get_op("sweep").canonicalize({"experiment": "qsort"})
+        assert "experiment" in exc.value.message
+
+    def test_sweep_defaults_are_the_clis(self):
+        spec = get_op("sweep")
+        assert spec.canonicalize({}) == {
+            "experiment": "sssp",
+            "nodes": "2,4,8",
+            "copies": "1,2",
+            "vertices": 800,
+        }
+        assert spec.canonicalize({"experiment": "beam"}) == {
+            "experiment": "beam",
+            "nodes": "2,4,8",
+            "modes": "blocking,delayed,ctx16,ctx40,ctx140",
+            "beam": 60,
+        }
+        assert spec.canonicalize({"experiment": "placement"}) == {
+            "experiment": "placement",
+            "policies": "static,replicate,migrate",
+            "topologies": "mesh,torus",
+            "nodes": "2,4,8",
+            "pages": 128,
+            "requests": 120,
+            "seed": 0,
+        }
+
+    def test_another_grids_param_is_bad_params(self):
+        with pytest.raises(ProtocolError) as exc:
+            get_op("sweep").canonicalize(
+                {"experiment": "beam", "copies": "1,2"}
+            )
+        assert exc.value.code == "bad_params"
+        assert "copies" in exc.value.message
 
     def test_unknown_op(self):
         for name in ("frobnicate", "space"):

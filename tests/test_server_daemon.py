@@ -13,6 +13,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
@@ -94,6 +95,15 @@ def canonical_result(envelope):
     return json.dumps(envelope["result"], sort_keys=True)
 
 
+def _wait_until(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
 class TestRequestLifecycle:
     def test_miss_then_hit_byte_identical_zero_dispatch(self):
         with make_daemon() as daemon:
@@ -167,6 +177,26 @@ class TestRequestLifecycle:
         assert progress == [(1, 2), (2, 2)]
         points = envelope["result"]["points"]
         assert [p["params"]["copies"] for p in points] == [1, 2]
+
+    def test_sweep_serves_the_cli_placement_grid(self):
+        from repro.parallel.grid import placement_point
+
+        params = {
+            "experiment": "placement",
+            "policies": "static,migrate",
+            "topologies": "mesh",
+            "nodes": 2,
+        }
+        with make_daemon() as daemon:
+            with ReproClient(port=daemon.port) as client:
+                envelope = client.request("sweep", params)
+        assert envelope["ok"], envelope["error"]
+        points = envelope["result"]["points"]
+        assert [p["params"]["policy"] for p in points] == [
+            "static", "migrate"
+        ]
+        for point in points:
+            assert point["value"] == placement_point(**point["params"])
 
     def test_status_op_reports_counters(self):
         with make_daemon() as daemon:
@@ -245,6 +275,23 @@ class TestCrashRecovery:
                 status = client.request("status")
         assert status["result"]["stats"]["crash_retries"] == 1
         assert daemon.dispatches == 2  # original + one re-dispatch
+
+    def test_idle_worker_death_is_counted(self):
+        with make_daemon(jobs=1) as daemon:
+            with ReproClient(port=daemon.port) as client:
+                status = client.request("status")["result"]
+                assert status["pool_respawns"] == 0
+                os.kill(daemon._pool._workers[0].pid, signal.SIGKILL)
+
+                def respawned():
+                    status = client.request("status")["result"]
+                    return (
+                        status["pool_respawns"] == 1
+                        and status["pool_alive"] == 1
+                    )
+
+                assert _wait_until(respawned, 10)
+                assert client.request("check", {"seed": 0})["ok"]
 
     def test_double_crash_is_a_structured_error(self, test_ops):
         with make_daemon(jobs=1) as daemon:
