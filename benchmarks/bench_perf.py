@@ -34,7 +34,7 @@ pages full-size, ~100k under ``--smoke`` — and records construction
 time, sustained events/sec (with a 16-node same-workload reference and
 the ratio), mean hops, and peak RSS; ``--gate-scale`` turns the
 tentpole acceptance numbers into a CI gate (construction < 10 s, RSS
-< 1 GB, events/sec within 50% of the committed rate).  ``--history
+< 64 MB, events/sec within 50% of the committed rate).  ``--history
 PATH`` appends a timestamped line to ``PATH`` so throughput is
 trendable across commits; without it nothing is appended.
 
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
         "--gate-scale",
         action="store_true",
         help="fail the scale benchmark on budget overruns: construction "
-        ">=10s, peak RSS >=1 GB, or events/sec more than 50% below the "
+        ">=10s, peak RSS >=64 MB, or events/sec more than 50%% below the "
         "committed BENCH_perf.json scale rate",
     )
     parser.add_argument(
@@ -619,11 +619,12 @@ def _gate_rates(results: Dict, tolerance: float) -> int:
 def _gate_scale(results: Dict, tolerance: float = 0.5) -> int:
     """CI scale gate: budgets + throughput floor for the 1,024-node run.
 
-    Two absolute budgets (the tentpole acceptance numbers with headroom
-    for slow runners): construction of the ~100k/~1M-page machine must
-    finish under 10 s, and peak process RSS must stay under 1 GB — the
-    flyweight page directory keeps the full 1M-page machine around
-    140 MB, so 1 GB only trips if per-page object costs come back.  The
+    Two absolute budgets (with headroom for slow runners): construction
+    of the ~100k/~1M-page machine must finish under 10 s, and peak
+    process RSS must stay under 64 MB.  Cold pages cost no host memory
+    and a frame stores only its written prefix, so the smoke run peaks
+    near 39 MB; the budget trips if a per-page or per-frame cost comes
+    back.  The
     throughput floor compares events/sec against the rate committed in
     ``BENCH_perf.json`` (``scale_smoke`` for smoke runs, ``scale``
     otherwise) with a generous tolerance: the gate exists to catch a
@@ -635,7 +636,7 @@ def _gate_scale(results: Dict, tolerance: float = 0.5) -> int:
         return 0
     failures = 0
 
-    budgets = (("construct_s", 10.0, "s"), ("ru_maxrss_mb", 1024.0, "MB"))
+    budgets = (("construct_s", 10.0, "s"), ("ru_maxrss_mb", 64.0, "MB"))
     for key, budget, unit in budgets:
         got = scale[key]
         verdict = "ok" if got < budget else "FAIL"

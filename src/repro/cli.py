@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 
-from repro.parallel.grid import EXPERIMENTS, SWEEPS
+from repro.parallel.grid import EXPERIMENTS, SWEEPS, ListParam
 
 
 def _resolve_jobs(args) -> int:
@@ -436,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         for param in params:
             p.add_argument(
                 "--" + param.name.replace("_", "-"),
-                type=param.type,
+                type=param.check
+                if isinstance(param, ListParam)
+                else param.type,
                 default=param.default,
                 choices=param.choices,
                 help=f"{param.help} (default %(default)s)",

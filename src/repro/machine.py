@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.params import PAPER_PARAMS, TimingParams
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.memory.competitive import CompetitiveReplicator
-from repro.memory.physical import zero_template
 from repro.memory.profiling import AccessProfiler
 from repro.memory.replication import ReplicationManager
 from repro.network.fabric import Fabric
@@ -60,9 +59,6 @@ class PlusMachine:
         self.mesh = make_topology(params.topology, n_nodes, width, height)
         self.engine = Engine(tie_break_rng=tie_break_rng)
         self.fabric = Fabric(self.engine, self.mesh, params)
-        #: The all-zeros page image every node's memory zeroes frames
-        #: from: immutable, so one per machine instead of one per node.
-        self.zero_page = zero_template(params.page_words)
         self.os = ReplicationManager(self)
         nodes: List[Node] = []
         self.nodes = nodes

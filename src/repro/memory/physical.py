@@ -2,23 +2,24 @@
 
 Each PLUS node carries 8 or 32 Mbytes of local DRAM (Section 5).  Frame
 storage is compact ``array('I')`` flat memory rather than per-page Python
-lists: one 4-byte unsigned slot per simulated 32-bit word, so a 1,024-word
-frame is the 4 Kbytes of a PLUS page, bulk page copies are C-speed slice
-assignments, and no word is boxed as an object — what lets a 1,024-node
-machine map a million pages without drowning in list headers.
+lists: one 4-byte unsigned slot per simulated 32-bit word, so bulk page
+copies are C-speed slice assignments and no word is boxed as an object —
+what lets a 1,024-node machine map a million pages without drowning in
+list headers.
 
-Frames are *lazy-zero*: allocation only marks the frame id live; the
-backing array materializes on the first write (reads of an
-unmaterialized frame return 0, snapshots return zeros).  A freed frame's
-storage parks on a spare pool and is re-zeroed in place when the next
-frame materializes, so migration-heavy policies recycle arrays instead
-of churning the allocator.
+Frames are *lazy-zero* and hold only their *written prefix*.  Allocation
+only hands out a frame id, and a mapped page costs nothing per page: a
+frame is live when its id is below the high-water mark and not on the
+free set.  The backing array materializes empty on the first write and
+holds words 0 through the highest offset written so far; a read past the
+prefix returns 0 and a write past it zero-extends the array.  A freed
+frame drops its array; a crash scrub truncates it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import AddressError, ConfigError
 from repro.core.params import WORD_MASK
@@ -34,19 +35,15 @@ if _ITEMSIZE != 4:
     )
 
 
-def zero_template(page_words: int) -> bytes:
-    """An all-zeros page image: the read-only template frames are zeroed
-    from.  Immutable, so one per page size can serve every node."""
-    return bytes(page_words * _ITEMSIZE)
-
-
 class LocalMemory:
     """The physical memory of one node: a paged arena of numbered frames.
 
-    The arena is indexed by integer frame id: ``_live[page]`` is 1 while
-    the frame is allocated, and ``_storage`` maps only *materialized*
-    frames to their ``array('I')`` of 32-bit words.  An allocated frame absent
-    from ``_storage`` is lazy-zero; a frame present in it is always live.
+    The arena is indexed by integer frame id.  Ids below ``_next_page``
+    have been handed out; those in ``_free`` (an insertion-ordered dict
+    used as a set, popped LIFO) are released again.  ``_storage`` maps
+    only *materialized* frames to the ``array('I')`` of their written
+    prefix.  An allocated frame absent from ``_storage`` is lazy-zero; a
+    frame present in it is always live.
     """
 
     __slots__ = (
@@ -54,34 +51,20 @@ class LocalMemory:
         "page_words",
         "max_frames",
         "_storage",
-        "_live",
         "_free",
-        "_spare",
-        "_zero",
         "_next_page",
     )
 
     def __init__(
-        self,
-        node_id: int,
-        page_words: int,
-        max_frames: int = 1 << 20,
-        zero: Optional[bytes] = None,
+        self, node_id: int, page_words: int, max_frames: int = 1 << 20
     ) -> None:
         self.node_id = node_id
         self.page_words = page_words
         self.max_frames = max_frames
-        #: Frame id -> backing array, for materialized frames only.
+        #: Frame id -> written-prefix array, for materialized frames only.
         self._storage: Dict[int, array] = {}
-        #: Frame id -> 1 if allocated (dense flags, one byte per id).
-        self._live = bytearray()
-        self._free: List[int] = []
-        #: Storage arrays recovered from freed frames, re-zeroed in
-        #: place when the next frame materializes.
-        self._spare: List[array] = []
-        #: Read-only all-zeros page image (see :func:`zero_template`); a
-        #: machine passes one template to all of its nodes.
-        self._zero = zero if zero is not None else zero_template(page_words)
+        #: Released frame ids, most recently freed last.
+        self._free: Dict[int, None] = {}
         self._next_page = 0
 
     # ------------------------------------------------------------------
@@ -89,12 +72,12 @@ class LocalMemory:
         """Allocate ``n`` zeroed frames as ``(recycled, fresh)`` ids.
 
         Hands out exactly the ids ``n`` successive single allocations
-        would: recycled ids from the end of the free list first (in pop
-        order), then one contiguous run of never-used ids.  Lazy: no
-        storage is touched until a frame's first write, so mapping a
-        million pages costs a million flag bytes, not a million arrays.
-        Fails without allocating anything if ``n`` is negative or the
-        run would exceed ``max_frames``.
+        would: the most recently freed ids first (in pop order), then
+        one contiguous run of never-used ids.  Lazy: no storage is
+        touched until a frame's first write, and a fresh run only moves
+        the high-water mark, so mapping a million pages costs nothing
+        per page.  Fails without allocating anything if ``n`` is
+        negative or the run would exceed ``max_frames``.
         """
         if n < 0:
             raise ConfigError(f"cannot allocate {n} frames")
@@ -107,13 +90,7 @@ class LocalMemory:
                 f"node {self.node_id} out of physical frames "
                 f"({self.max_frames})"
             )
-        live = self._live
-        recycled = free[len(free) - k:]
-        recycled.reverse()
-        del free[len(free) - k:]
-        for page in recycled:
-            live[page] = 1
-        live.extend(b"\x01" * (stop - start))
+        recycled = [free.popitem()[0] for _ in range(k)]
         self._next_page = stop
         return recycled, range(start, stop)
 
@@ -123,75 +100,72 @@ class LocalMemory:
         return recycled[0] if recycled else fresh.start
 
     def free_frame(self, page: int) -> None:
-        """Release a frame; its storage parks on the spare pool."""
+        """Release a frame; its storage is dropped."""
         self._check(page)
-        storage = self._storage.pop(page, None)
-        if storage is not None:
-            self._spare.append(storage)
-        self._live[page] = 0
-        self._free.append(page)
+        self._storage.pop(page, None)
+        self._free[page] = None
 
     def has_frame(self, page: int) -> bool:
-        return 0 <= page < self._next_page and self._live[page] != 0
+        return 0 <= page < self._next_page and page not in self._free
 
     def frames(self) -> Iterator[int]:
         """Iterate over allocated local page ids (ascending)."""
-        live = self._live
-        return (page for page in range(self._next_page) if live[page])
+        free = self._free
+        return (page for page in range(self._next_page) if page not in free)
 
     # ------------------------------------------------------------------
     def _check(self, page: int) -> None:
-        if not (0 <= page < self._next_page and self._live[page]):
+        if not (0 <= page < self._next_page and page not in self._free):
             raise AddressError(
                 f"node {self.node_id} has no physical page {page}"
             )
 
-    def _zero_fill(self, storage: array) -> None:
-        """Zero ``storage`` in place from the template (one memcpy)."""
-        with memoryview(storage).cast("B") as raw:
-            raw[:] = self._zero
-
     def _materialize(self, page: int) -> array:
-        """Back a live frame with (zeroed) storage; reuses spares."""
-        spare = self._spare
-        if spare:
-            storage = spare.pop()
-            self._zero_fill(storage)
-        else:
-            storage = array(_TYPECODE, self._zero)
-        self._storage[page] = storage
+        """Back a live frame with an empty written prefix (replacing an
+        empty one is the same)."""
+        self._check(page)
+        storage = self._storage[page] = array(_TYPECODE)
         return storage
+
+    def _extend(self, storage: array, offset: int) -> None:
+        """Zero-extend ``storage`` to hold word ``offset`` of the page."""
+        if not 0 <= offset < self.page_words:
+            raise IndexError(
+                f"offset {offset} outside the {self.page_words}-word frame"
+            )
+        storage.frombytes(bytes((offset + 1 - len(storage)) * _ITEMSIZE))
 
     def read(self, page: int, offset: int) -> int:
         """Read one word from frame ``page`` at ``offset``."""
         storage = self._storage.get(page)
-        if storage is not None:
+        if storage is None:
+            self._check(page)
+        elif 0 <= offset < len(storage):
             return storage[offset]
-        self._check(page)
-        pw = self.page_words
-        if -pw <= offset < pw:
+        if 0 <= offset < self.page_words:
             return 0
-        raise IndexError("array index out of range")
+        raise IndexError(
+            f"offset {offset} outside the {self.page_words}-word frame"
+        )
 
     def write(self, page: int, offset: int, value: int) -> None:
         """Write one word to frame ``page`` at ``offset``."""
-        storage = self._storage.get(page)
-        if storage is None:
-            self._check(page)
-            storage = self._materialize(page)
+        storage = self._storage.get(page) or self._materialize(page)
+        if not 0 <= offset < len(storage):
+            self._extend(storage, offset)
         storage[offset] = value & WORD_MASK
 
     def words_of(self, page: int) -> array:
         """The live word array of frame ``page`` (hot-path read access).
 
         Callers that make several reads against one frame (the RMW
-        executor) resolve the frame once and index the array directly.
-        The array is the frame's backing store — treat it as read-only.
+        executor) resolve the frame once and index the array directly,
+        so it is extended to all ``page_words`` words first.  The array
+        is the frame's backing store — treat it as read-only.
         """
-        storage = self._storage.get(page)
-        if storage is None:
-            self._check(page)
-            storage = self._materialize(page)
+        storage = self._storage.get(page) or self._materialize(page)
+        if len(storage) < self.page_words:
+            self._extend(storage, self.page_words - 1)
         return storage
 
     def write_batch(self, page: int, writes) -> None:
@@ -201,11 +175,10 @@ class LocalMemory:
         writes through here so the frame lookup happens once per message
         rather than once per word.
         """
-        storage = self._storage.get(page)
-        if storage is None:
-            self._check(page)
-            storage = self._materialize(page)
+        storage = self._storage.get(page) or self._materialize(page)
         for offset, value in writes:
+            if not 0 <= offset < len(storage):
+                self._extend(storage, offset)
             storage[offset] = value & WORD_MASK
 
     def write_run(self, page: int, offset: int, values: List[int]) -> None:
@@ -217,10 +190,9 @@ class LocalMemory:
                 f"run of {len(values)} words at offset {offset} overruns "
                 f"the {self.page_words}-word frame"
             )
-        storage = self._storage.get(page)
-        if storage is None:
-            self._check(page)
-            storage = self._materialize(page)
+        storage = self._storage.get(page) or self._materialize(page)
+        if len(storage) < end:
+            self._extend(storage, end - 1)
         storage[offset:end] = array(_TYPECODE, [v & WORD_MASK for v in values])
 
     def load_page(self, page: int, values: List[int]) -> None:
@@ -231,28 +203,22 @@ class LocalMemory:
                 f"page copy of {len(values)} words into "
                 f"{self.page_words}-word frame"
             )
-        storage = self._storage.get(page)
-        if storage is None:
-            # Fully overwritten below — skip the zeroing pass.
-            spare = self._spare
-            storage = spare.pop() if spare else array(_TYPECODE, self._zero)
-            self._storage[page] = storage
-        storage[:] = array(_TYPECODE, [v & WORD_MASK for v in values])
+        self._storage[page] = array(_TYPECODE, [v & WORD_MASK for v in values])
 
     def snapshot_page(self, page: int) -> List[int]:
         """Copy out an entire frame (used by the page-copy engine)."""
         self._check(page)
         storage = self._storage.get(page)
-        if storage is None:
-            return [0] * self.page_words
-        return storage.tolist()
+        words = [] if storage is None else storage.tolist()
+        words += [0] * (self.page_words - len(words))
+        return words
 
     def zero_page(self, page: int) -> None:
         """Reset a frame to all zeros in place (crash-scrub path)."""
         self._check(page)
         storage = self._storage.get(page)
         if storage is not None:
-            self._zero_fill(storage)
+            del storage[:]
 
     # -- capacity accounting -------------------------------------------
     @property

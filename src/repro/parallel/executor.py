@@ -290,8 +290,12 @@ class WorkerPool:
       processes.
     """
 
-    def __init__(self, jobs: int) -> None:
+    def __init__(
+        self, jobs: int, log: Optional[Callable[[str], None]] = None
+    ) -> None:
         self.jobs = max(1, jobs)
+        #: Told one line per dead worker replaced (the daemon's log).
+        self._log = log
         self._ctx = default_context()
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -450,6 +454,12 @@ class WorkerPool:
             )
         if not self._closing:
             self.respawns += 1
+            if self._log is not None:
+                state = "idle" if task is None else "mid-task"
+                self._log(
+                    f"worker pid {proc.pid} died {state} "
+                    f"(exitcode {proc.exitcode}); respawning"
+                )
             self._spawn(wid)
 
     # -- teardown ------------------------------------------------------

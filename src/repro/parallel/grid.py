@@ -14,6 +14,7 @@ module imports no simulator code until a point runs.
 
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -474,29 +475,47 @@ FIG_3_1 = Experiment(
 # ----------------------------------------------------------------------
 # The sweep grids: comma-separated axes, crossed in declaration order.
 # ----------------------------------------------------------------------
-def _ints(text: str) -> List[int]:
-    try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError:
-        raise ProtocolError(
-            "bad_params", f"expected comma-separated ints: {text!r}"
-        )
+@dataclass(frozen=True)
+class ListParam(Param):
+    """A sweep's comma-list param: ints, or else words from ``items``.
+    A served request's words reach the points unchecked (a bad one
+    fails its point); :meth:`check`, the CLI flag's type, refuses them."""
+
+    type: type = str
+    items: Tuple[str, ...] = ()
+
+    def parse(self, text: str) -> list:
+        values = [v for v in text.split(",") if v]
+        try:
+            return values if self.items else [int(v) for v in values]
+        except ValueError:
+            raise ProtocolError(
+                "bad_params", f"expected comma-separated ints: {text!r}"
+            )
+
+    def check(self, text: str) -> str:
+        """``text`` unchanged; a usage error unless it lists at least
+        one item and every item is good."""
+        try:
+            values = self.parse(text)
+        except ProtocolError:
+            values = None
+        if not values or not set(values) <= set(self.items or values):
+            kind = "{%s}" % ",".join(self.items) if self.items else "ints"
+            raise ArgumentTypeError(f"expected {kind}, comma-separated")
+        return text
 
 
-def _words(text: str) -> List[str]:
-    return [w for w in text.split(",") if w]
-
-
-def _grid(**axes: Tuple[str, Callable[[str], list]]):
+def _grid(**axes: ListParam):
     """A sweep's task expansion: each point kwarg in ``axes`` ranges
-    over a comma-list param, parsed by its parser; the other params
-    pass through to every point."""
+    over the items of a comma-list param; the other params pass through
+    to every point."""
 
     def tasks(params: Dict[str, Any]) -> List[tuple]:
-        ranged = {name for name, _parse in axes.values()}
+        ranged = {param.name for param in axes.values()}
         fixed = {k: v for k, v in params.items() if k not in ranged}
         points = expand_grid(
-            {kw: parse(params[name]) for kw, (name, parse) in axes.items()}
+            {kw: param.parse(params[param.name]) for kw, param in axes.items()}
         )
         return [
             (", ".join(f"{k}={v}" for k, v in point.items()),
@@ -507,7 +526,19 @@ def _grid(**axes: Tuple[str, Callable[[str], list]]):
     return tasks
 
 
-_NODES = Param("nodes", str, "2,4,8", help="comma-separated processor counts")
+_NODES = ListParam("nodes", str, "2,4,8",
+                   help="comma-separated processor counts")
+_COPIES = ListParam("copies", str, "1,2", help="sssp: replication degrees")
+_MODES = ListParam("modes", str, ",".join(BEAM_MODES), items=BEAM_MODES,
+                   help="beam: comma-separated sync styles")
+#: ``repro.apps.placement.POLICIES`` and the topology registry's names,
+#: spelled out so that parsing a flag loads no simulator module.
+_POLICIES = ListParam("policies", str, "static,replicate,migrate",
+                      items=("static", "replicate", "migrate"),
+                      help="placement: comma-separated policies")
+_TOPOLOGIES = ListParam("topologies", str, "mesh,torus",
+                        items=("mesh", "torus"),
+                        help="placement: comma-separated topologies")
 
 SWEEPS: Dict[str, Experiment] = {
     exp.name: exp
@@ -516,11 +547,11 @@ SWEEPS: Dict[str, Experiment] = {
             name="sssp",
             params=(
                 _NODES,
-                Param("copies", str, "1,2", help="sssp: replication degrees"),
+                _COPIES,
                 Param("vertices", int, 800, help="sssp: graph size"),
             ),
             point=sssp_point,
-            tasks=_grid(nodes=("nodes", _ints), copies=("copies", _ints)),
+            tasks=_grid(nodes=_NODES, copies=_COPIES),
             title="SSSP sweep ({vertices} vertices)",
             columns=(
                 "nodes", "copies", "cycles", "messages", "utilization",
@@ -531,24 +562,19 @@ SWEEPS: Dict[str, Experiment] = {
             name="beam",
             params=(
                 _NODES,
-                Param(
-                    "modes", str, ",".join(BEAM_MODES),
-                    help="beam: comma-separated sync styles",
-                ),
+                _MODES,
                 Param("beam", int, 60, help="beam: beam width"),
             ),
             point=beam_point,
-            tasks=_grid(nodes=("nodes", _ints), mode=("modes", _words)),
+            tasks=_grid(nodes=_NODES, mode=_MODES),
             title="Beam-search sweep (beam {beam})",
             columns=("nodes", "mode", "cycles", "utilization"),
         ),
         Experiment(
             name="placement",
             params=(
-                Param("policies", str, "static,replicate,migrate",
-                      help="placement: comma-separated policies"),
-                Param("topologies", str, "mesh,torus",
-                      help="placement: comma-separated topologies"),
+                _POLICIES,
+                _TOPOLOGIES,
                 _NODES,
                 Param("pages", int, 128,
                       help="placement: hot (celebrity) page pool size"),
@@ -557,11 +583,7 @@ SWEEPS: Dict[str, Experiment] = {
                 Param("seed", int, 0, help="placement: access-stream seed"),
             ),
             point=placement_point,
-            tasks=_grid(
-                policy=("policies", _words),
-                topology=("topologies", _words),
-                nodes=("nodes", _ints),
-            ),
+            tasks=_grid(policy=_POLICIES, topology=_TOPOLOGIES, nodes=_NODES),
             title="Placement-policy sweep ({pages} hot pages, zipfian skew)",
             columns=(
                 "policy", "topology", "nodes", "cycles", "messages",

@@ -115,7 +115,7 @@ class ReproDaemon:
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Bind, spin up the pool, and start accepting clients."""
-        self._pool = WorkerPool(jobs=self.jobs)
+        self._pool = WorkerPool(jobs=self.jobs, log=self._log)
         if self.socket_path:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)

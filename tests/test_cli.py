@@ -5,6 +5,7 @@ import shlex
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.parallel.grid import ListParam
 
 
 class TestParser:
@@ -30,6 +31,38 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "sssp", "--nodes", "2,x"], "--nodes"),
+            (["sweep", "sssp", "--copies", "1,2.5"], "--copies"),
+            (["sweep", "sssp", "--copies", ","], "--copies"),
+            (["sweep", "beam", "--modes", "bogus"], "--modes"),
+            (["sweep", "beam", "--modes", "blocking,ctx"], "--modes"),
+            (["sweep", "--placement", "--policies", "static,x"], "--policies"),
+            (["sweep", "--placement", "--topologies", "ring"], "--topologies"),
+        ],
+    )
+    def test_bad_comma_list_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_comma_list_words_are_the_simulators(self):
+        from repro.apps.placement import POLICIES
+        from repro.network.topology import TOPOLOGIES
+        from repro.parallel.grid import BEAM_MODES, SWEEPS
+
+        items = {p.name: p.items for g in SWEEPS.values() for p in g.params
+                 if isinstance(p, ListParam)}
+        assert items == {
+            "nodes": (), "copies": (), "modes": BEAM_MODES,
+            "policies": POLICIES, "topologies": tuple(TOPOLOGIES),
+        }
 
     def test_argument_defaults(self):
         args = build_parser().parse_args(["table-2-1"])

@@ -114,6 +114,82 @@ class TestLocalMemory:
         assert mem.snapshot_page(a) == [0, 7, 0xFFFF_FFFF, 0]
 
 
+class TestPrefixFrames:
+    """A materialized frame stores only words 0..highest written offset."""
+
+    def _frame(self, page_words=8):
+        mem = LocalMemory(0, page_words=page_words)
+        return mem, mem.allocate_frame()
+
+    def test_read_past_prefix_is_zero(self):
+        mem, page = self._frame()
+        mem.write(page, 2, 5)
+        assert len(mem._storage[page]) == 3
+        assert [mem.read(page, i) for i in range(8)] == [0, 0, 5, 0, 0, 0, 0, 0]
+
+    def test_write_at_last_word_grows_to_full_page(self):
+        mem, page = self._frame()
+        mem.write(page, 0, 1)
+        mem.write(page, 7, 2)
+        assert len(mem._storage[page]) == 8
+        assert mem.snapshot_page(page) == [1, 0, 0, 0, 0, 0, 0, 2]
+
+    @pytest.mark.parametrize("offset", [8, -1])
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_offsets_outside_the_page_raise(self, offset, materialized):
+        mem, page = self._frame()
+        if materialized:
+            mem.write(page, 0, 1)
+        with pytest.raises(IndexError):
+            mem.read(page, offset)
+        with pytest.raises(IndexError):
+            mem.write(page, offset, 3)
+        with pytest.raises(IndexError):
+            mem.write_batch(page, [(offset, 3)])
+        assert mem.snapshot_page(page) == [int(materialized)] + [0] * 7
+
+    def test_snapshot_pads_the_prefix_with_zeros(self):
+        mem, page = self._frame()
+        mem.write_batch(page, [(1, 4), (3, 6)])
+        snap = mem.snapshot_page(page)
+        assert len(snap) == 8
+        assert snap == [0, 4, 0, 6, 0, 0, 0, 0]
+
+    def test_zero_page_reads_all_zeros(self):
+        mem, page = self._frame()
+        mem.write(page, 5, 9)
+        mem.zero_page(page)
+        assert mem.snapshot_page(page) == [0] * 8
+        assert mem.read(page, 5) == 0
+        mem.write(page, 1, 2)
+        assert mem.snapshot_page(page) == [0, 2, 0, 0, 0, 0, 0, 0]
+
+    def test_free_and_reallocation_reads_all_zeros(self):
+        mem, page = self._frame()
+        mem.write_run(page, 0, [1, 2, 3])
+        mem.free_frame(page)
+        again = mem.allocate_frame()
+        assert again == page
+        assert mem.snapshot_page(again) == [0] * 8
+        assert [mem.read(again, i) for i in range(8)] == [0] * 8
+
+    def test_words_of_is_a_full_page(self):
+        mem, page = self._frame()
+        assert len(mem.words_of(page)) == 8
+        other = mem.allocate_frame()
+        mem.write(other, 2, 7)
+        words = mem.words_of(other)
+        assert len(words) == 8
+        assert list(words) == [0, 0, 7, 0, 0, 0, 0, 0]
+
+    def test_write_run_past_the_prefix_zero_extends(self):
+        mem, page = self._frame()
+        mem.write(page, 0, 1)
+        mem.write_run(page, 4, [5, 6])
+        assert len(mem._storage[page]) == 6
+        assert mem.snapshot_page(page) == [1, 0, 0, 0, 5, 6, 0, 0]
+
+
 class TestTLB:
     def test_hit_and_miss_counting(self):
         tlb = TLB(entries=2)

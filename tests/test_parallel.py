@@ -612,15 +612,16 @@ class TestCLIDeterminism:
         assert serial[1].count("\n") >= 32
 
     def test_sweep_failure_lists(self):
-        # "bogus" is an unknown beam sync mode: those grid points error,
-        # the rest succeed — exit code and failure report must match.
+        # A machine of 0 nodes is refused when its point runs: that grid
+        # point errors, the rest succeed — exit code and failure report
+        # must match.
         argv = [
             "sweep",
             "beam",
             "--nodes",
-            "2",
+            "2,0",
             "--modes",
-            "blocking,bogus",
+            "blocking",
             "--beam",
             "12",
         ]
@@ -628,7 +629,7 @@ class TestCLIDeterminism:
         parallel = _run_cli(argv + ["--jobs", "2"])
         assert serial == parallel
         assert serial[0] == 1
-        assert "ValueError" in serial[1]
+        assert "ConfigError: a machine needs at least one node" in serial[1]
 
 
 class TestCompletionOrderDeterminism:

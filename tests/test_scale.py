@@ -8,6 +8,7 @@ against the per-page reference, and lazy-zero frame storage.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -230,12 +231,10 @@ def _reference_alloc(memory):
     """The single-frame allocator, inlined: recycle the last freed id,
     else issue the next never-used one."""
     if memory._free:
-        ppage = memory._free.pop()
+        ppage = memory._free.popitem()[0]
     else:
         ppage = memory._next_page
         memory._next_page += 1
-        memory._live.append(0)
-    memory._live[ppage] = 1
     return ppage
 
 
@@ -318,7 +317,7 @@ class TestBulkCreation:
         for node in machine.nodes:
             memory, tables = node.memory, node.cm.tables
             nodes.append((
-                bytes(memory._live), list(memory._free), memory._next_page,
+                list(memory.frames()), list(memory._free), memory._next_page,
                 dict(tables._master), dict(tables._next),
             ))
         return nodes
@@ -385,7 +384,7 @@ class TestBulkCreation:
         memory.free_frame(memory.allocate_frame())
         with pytest.raises(ConfigError):
             memory.allocate_frames(-1)
-        assert memory._free == [0]
+        assert list(memory._free) == [0]
 
     def test_mapping_a_million_pages_grows_no_directory(self):
         machine = PlusMachine(n_nodes=2)
@@ -414,9 +413,9 @@ class TestBulkCreation:
 
 
 class TestColdPageFootprint:
-    def test_cold_pages_cost_under_twelve_bytes_each(self):
-        # Per cold page: a 1-byte live flag plus its share of bytearray
-        # over-allocation; the directory holds one extent per segment.
+    def test_cold_pages_cost_under_one_byte_each(self):
+        # A cold page holds no flag and no storage: the frames are a
+        # high-water mark and the directory one extent per segment.
         machine = PlusMachine(n_nodes=16)
         page_words = machine.params.page_words
         per_home = 262_144 // machine.n_nodes
@@ -432,13 +431,7 @@ class TestColdPageFootprint:
         finally:
             tracemalloc.stop()
         assert all(isinstance(seg.vpages, range) for seg in segments)
-        assert used / 262_144 <= 12
-
-    def test_nodes_share_one_zero_template(self):
-        machine = PlusMachine(n_nodes=4)
-        zeros = {id(node.memory._zero) for node in machine.nodes}
-        assert zeros == {id(machine.zero_page)}
-        assert isinstance(machine.zero_page, bytes)
+        assert used / 262_144 <= 1
 
     def test_cache_tags_allocate_on_first_fill(self):
         machine = PlusMachine(n_nodes=4)
@@ -508,6 +501,18 @@ class TestHostFootprint:
             assert memory._storage[page].itemsize == 4
             assert memory.snapshot_page(page)[:2] == [0xFFFFFFFF, 5]
 
+    def test_frame_stores_only_its_written_prefix(self):
+        # The placement program touches at most 64 words of a 1,024-word
+        # frame; only words 0..63 may be stored, not the whole page.
+        memory = LocalMemory(node_id=0, page_words=1024)
+        page = memory.allocate_frame()
+        memory.write(page, 63, 5)
+        storage = memory._storage[page]
+        assert len(storage) <= 64
+        assert sys.getsizeof(storage) < 512  # a full page is 4 KiB
+        assert memory.read(page, 63) == 5
+        assert memory.read(page, 1023) == 0
+
 
 class TestCompactArena:
     def test_allocation_is_lazy(self):
@@ -521,19 +526,19 @@ class TestCompactArena:
         assert memory.materialized_frames == 1
         assert memory.read(pages[50], 3) == 42
 
-    def test_freed_storage_is_reused(self):
+    def test_freed_frame_drops_its_storage(self):
         memory = LocalMemory(node_id=0, page_words=16)
         a = memory.allocate_frame()
         memory.write(a, 0, 7)
-        backing = memory._storage[a]
         memory.free_frame(a)
         assert memory.allocated_frames == 0
+        assert memory.materialized_frames == 0
         b = memory.allocate_frame()
+        assert b == a
         memory.write(b, 1, 9)
-        # Same storage array, re-zeroed in place.
-        assert memory._storage[b] is backing
         assert memory.read(b, 0) == 0
         assert memory.read(b, 1) == 9
+        assert memory.materialized_frames == 1
 
     def test_snapshot_of_unmaterialized_frame_is_zeros(self):
         memory = LocalMemory(node_id=0, page_words=4)

@@ -277,11 +277,13 @@ class TestCrashRecovery:
         assert daemon.dispatches == 2  # original + one re-dispatch
 
     def test_idle_worker_death_is_counted(self):
-        with make_daemon(jobs=1) as daemon:
+        log = io.StringIO()
+        with make_daemon(jobs=1, log=log) as daemon:
             with ReproClient(port=daemon.port) as client:
                 status = client.request("status")["result"]
                 assert status["pool_respawns"] == 0
-                os.kill(daemon._pool._workers[0].pid, signal.SIGKILL)
+                pid = daemon._pool._workers[0].pid
+                os.kill(pid, signal.SIGKILL)
 
                 def respawned():
                     status = client.request("status")["result"]
@@ -292,6 +294,11 @@ class TestCrashRecovery:
 
                 assert _wait_until(respawned, 10)
                 assert client.request("check", {"seed": 0})["ok"]
+        died = [line for line in log.getvalue().splitlines() if "died" in line]
+        assert len(died) == 1
+        assert died[0].endswith(
+            f"worker pid {pid} died idle (exitcode -9); respawning"
+        )
 
     def test_double_crash_is_a_structured_error(self, test_ops):
         with make_daemon(jobs=1) as daemon:
